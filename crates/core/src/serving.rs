@@ -48,16 +48,18 @@ use crate::runtime::{
 use gendpr_fednet::metrics::TrafficStats;
 use gendpr_fednet::transport::{Endpoint, Network, PeerId, Transport};
 use gendpr_genomics::cohort::Cohort;
+use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{
-    select_safe_subset_seeded, select_safe_subset_seeded_threads, BitLrMatrix, LrMatrix,
+    select_safe_subset_seeded, select_safe_subset_seeded_threads, LrColumns, LrMatrix,
     LrPrefixSums, LrSelection, LrTestParams, LrValues,
 };
 use gendpr_stats::ranking::{sort_most_significant_first, SnpRank};
 use gendpr_tee::session::SecureChannel;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -174,6 +176,8 @@ enum SessionCommand {
     Run(JobSpec, Option<Vec<ShardOutput>>),
     /// Run phases 1–2 only, scoped to one shard.
     RunShard(ShardJobSpec),
+    /// Failpoint: panic the leader's thread when this job id arrives.
+    ArmPanic(u64),
     Shutdown,
 }
 
@@ -319,6 +323,65 @@ struct LeaderState<'a> {
     // the lifetime of this state, so later jobs against the same ledger
     // prefix skip the re-accumulation entirely.
     lr_memo: LrPrefixMemo,
+    lane_columns: LaneColumns,
+}
+
+/// LR bit columns resident in the leader's session state (compact
+/// transport only). Each remote member's minor-allele indicator column is
+/// kept per SNP from the first job that ships it until the session ends,
+/// together with an SNP-major view of the reference panel built at the
+/// first compact LR phase. A job asks each member only for the columns
+/// the lane lacks and stitches its case and null [`LrColumns`] from
+/// resident words. The leader learns nothing new: these are the exact
+/// bits the same attested members already sent it in this session.
+struct LaneColumns {
+    /// Indexed by member id; the leader's own entry only records its row
+    /// count (its columns come from its shard's columnar view).
+    members: Vec<MemberColumns>,
+    reference: Option<ColumnarGenotypes>,
+}
+
+/// One member's resident columns: SNP `s` occupies slot `index[s]` of
+/// `words`, `⌈individuals/64⌉` words per slot.
+struct MemberColumns {
+    individuals: usize,
+    words: Vec<u64>,
+    index: HashMap<u32, usize>,
+}
+
+impl MemberColumns {
+    fn new(individuals: usize) -> Self {
+        Self {
+            individuals,
+            words: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+
+    fn column(&self, snp: SnpId) -> &[u64] {
+        let width = self.individuals.div_ceil(64);
+        let slot = self.index[&snp.0];
+        &self.words[slot * width..(slot + 1) * width]
+    }
+
+    /// Positions in `columns` of the SNPs this member has not shipped yet.
+    fn missing(&self, columns: &[SnpId]) -> Vec<usize> {
+        (0..columns.len())
+            .filter(|&j| !self.index.contains_key(&columns[j].0))
+            .collect()
+    }
+
+    /// Makes `snps` resident from a report whose column `j` is `snps[j]`;
+    /// returns the bytes added.
+    fn insert(&mut self, snps: impl Iterator<Item = SnpId>, shipped: &ColumnarGenotypes) -> u64 {
+        let before = self.words.len();
+        for (j, snp) in snps.enumerate() {
+            self.index.insert(snp.0, self.index.len());
+            self.words
+                .extend_from_slice(shipped.snp_words(SnpId(j as u32)));
+        }
+        8 * (self.words.len() - before) as u64
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -387,7 +450,14 @@ fn leader_session<T: Transport>(
             o.n_ref,
         )
     });
-    let state = LeaderState {
+    let lane_columns = LaneColumns {
+        members: reports
+            .iter()
+            .map(|r| MemberColumns::new(r.as_ref().map_or(0, |r| r.n_case as usize)))
+            .collect(),
+        reference: None,
+    };
+    let mut state = LeaderState {
         reference,
         subsets,
         maf_outcomes,
@@ -395,19 +465,25 @@ fn leader_session<T: Transport>(
         panel_len,
         ref_counts,
         lr_memo: LrPrefixMemo::new(),
+        lane_columns,
     };
     let _ = events.send(SessionEvent::Ready { leader: me });
 
+    let mut panic_armed: Option<u64> = None;
     loop {
         match commands.recv() {
+            Ok(SessionCommand::ArmPanic(job_id)) => panic_armed = Some(job_id),
             Ok(SessionCommand::Run(spec, shards)) => {
+                if panic_armed == Some(spec.job_id) {
+                    panic!("injected member-thread panic for job {}", spec.job_id);
+                }
                 let before = snapshot_links(ctx, &roster);
                 match run_leader_job(
                     ctx,
                     &mut channels,
                     node,
                     params,
-                    &state,
+                    &mut state,
                     &spec,
                     shards.as_deref(),
                 ) {
@@ -618,7 +694,7 @@ fn run_leader_job<T: Transport>(
     channels: &mut HashMap<usize, SecureChannel>,
     node: &GdoNode,
     params: &GwasParams,
-    state: &LeaderState<'_>,
+    state: &mut LeaderState<'_>,
     spec: &JobSpec,
     shards: Option<&[ShardOutput]>,
 ) -> Result<LeaderDetail, Interrupt> {
@@ -816,21 +892,6 @@ fn run_leader_job<T: Transport>(
         let outcome = &state.maf_outcomes[c];
         let case_freqs: Vec<f64> = columns.iter().map(|&s| outcome.case_frequency(s)).collect();
         let ref_freqs: Vec<f64> = columns.iter().map(|&s| outcome.ref_frequency(s)).collect();
-        let broadcast = ProtocolMessage::Phase2(
-            c as u32,
-            Phase2Broadcast {
-                retained: columns.iter().map(|s| s.0).collect(),
-                case_freqs: case_freqs.clone(),
-                ref_freqs: ref_freqs.clone(),
-            },
-        );
-        for &peer in subset {
-            if peer == me {
-                continue;
-            }
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &broadcast)?;
-        }
         let candidate_ranks: Vec<SnpRank> = l_double_prime
             .iter()
             .map(|&s| state.rankings[c][s.index()])
@@ -842,21 +903,40 @@ fn run_leader_job<T: Transport>(
             .map(|(j, &s)| (s, forced.len() + j))
             .collect();
         let order: Vec<usize> = sorted.iter().map(|r| col_of[&r.snp]).collect();
-        let selection = collect_seeded_selection(
-            ctx,
-            channels,
-            node,
-            state.reference,
-            subset,
-            c as u32,
-            &columns,
-            &case_freqs,
-            &ref_freqs,
-            &forced_cols,
-            &order,
-            params,
-            &state.lr_memo,
-        )?;
+        let selection = if ctx.compact_lr {
+            resident_seeded_selection(
+                ctx,
+                channels,
+                node,
+                &mut state.lane_columns,
+                state.reference,
+                subset,
+                c as u32,
+                &columns,
+                &case_freqs,
+                &ref_freqs,
+                &forced_cols,
+                &order,
+                params,
+                &state.lr_memo,
+            )?
+        } else {
+            dense_seeded_selection(
+                ctx,
+                channels,
+                node,
+                state.reference,
+                subset,
+                c as u32,
+                &columns,
+                &case_freqs,
+                &ref_freqs,
+                &forced_cols,
+                &order,
+                params,
+                &state.lr_memo,
+            )?
+        };
         let mut safe_c: Vec<SnpId> = selection.kept_columns.iter().map(|&j| columns[j]).collect();
         safe_c.sort_unstable();
         if c == 0 {
@@ -1108,10 +1188,125 @@ fn seeded_selection<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     }
 }
 
-/// Collects the subset's LR matrices (compact or dense, mirroring the
-/// one-shot runtime's enclave accounting) and runs the seeded search.
+/// Compact-transport Phase 3 for one subset over the lane's resident
+/// columns: each remote subset member is asked only for the columns the
+/// lane lacks (and not at all when none are missing), its reply is
+/// checked against the row count it reported at session start and made
+/// resident, and the case [`LrColumns`] is stitched in the dense path's
+/// part order — the leader's own shard first, then the remote members in
+/// subset order. The null view comes from the reference's SNP-major
+/// copy, built at the first call.
 #[allow(clippy::too_many_arguments)]
-fn collect_seeded_selection<T: Transport>(
+fn resident_seeded_selection<T: Transport>(
+    ctx: &mut MemberCtx<T>,
+    channels: &mut HashMap<usize, SecureChannel>,
+    node: &GdoNode,
+    lane: &mut LaneColumns,
+    reference: &GenotypeMatrix,
+    subset: &[usize],
+    combo: u32,
+    columns: &[SnpId],
+    case_freqs: &[f64],
+    ref_freqs: &[f64],
+    forced_cols: &[usize],
+    order: &[usize],
+    params: &GwasParams,
+    lr_memo: &LrPrefixMemo,
+) -> Result<LrSelection, Interrupt> {
+    let me = ctx.id;
+    let threads = ctx.threads;
+    let requests: Vec<(usize, Vec<usize>)> = subset
+        .iter()
+        .filter(|&&peer| peer != me)
+        .map(|&peer| (peer, lane.members[peer].missing(columns)))
+        .filter(|(_, missing)| !missing.is_empty())
+        .collect();
+    for (peer, missing) in &requests {
+        let request = ProtocolMessage::Phase2(
+            combo,
+            Phase2Broadcast {
+                retained: missing.iter().map(|&j| columns[j].0).collect(),
+                case_freqs: missing.iter().map(|&j| case_freqs[j]).collect(),
+                ref_freqs: missing.iter().map(|&j| ref_freqs[j]).collect(),
+            },
+        );
+        let channel = channels.get_mut(peer).expect("channel");
+        send_protocol(ctx, channel, *peer, &request)?;
+    }
+    for (peer, missing) in &requests {
+        let peer = *peer;
+        let individuals = lane.members[peer].individuals;
+        let channel = channels.get_mut(&peer).expect("channel");
+        let shipped = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
+            ProtocolMessage::LrCompact(c, report)
+                if c == combo
+                    && report.individuals == individuals as u64
+                    && report.snps == missing.len() as u64 =>
+            {
+                ColumnarGenotypes::from_row_major(individuals, missing.len(), &report.bits)
+                    .map_err(|_| ProtocolError::MalformedMessage { member: peer })?
+            }
+            _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
+        };
+        let added = lane.members[peer].insert(missing.iter().map(|&j| columns[j]), &shipped);
+        ctx.enclave.enter(|(), epc| epc.alloc(added));
+    }
+
+    let LaneColumns {
+        members,
+        reference: reference_view,
+    } = lane;
+    let null_view: &ColumnarGenotypes = ctx.enclave.enter(|(), epc| {
+        reference_view.get_or_insert_with(|| {
+            let view = ColumnarGenotypes::from_matrix(reference);
+            epc.alloc(view.heap_bytes() as u64);
+            view
+        })
+    });
+    let parts: Vec<usize> = subset
+        .contains(&me)
+        .then_some(me)
+        .into_iter()
+        .chain(subset.iter().copied().filter(|&peer| peer != me))
+        .collect();
+    let sizes: Vec<usize> = parts.iter().map(|&m| members[m].individuals).collect();
+    let (selection, freed) = ctx.enclave.enter(|(), epc| {
+        let case = LrColumns::from_part_columns(&sizes, case_freqs, ref_freqs, |p, j| {
+            if parts[p] == me {
+                node.columnar().snp_words(columns[j])
+            } else {
+                members[parts[p]].column(columns[j])
+            }
+        });
+        epc.alloc(case.heap_bytes() as u64);
+        let null = LrColumns::from_columnar(null_view, columns, case_freqs, ref_freqs);
+        epc.alloc(null.heap_bytes() as u64);
+        let selection = seeded_selection(
+            &case,
+            &null,
+            forced_cols,
+            order,
+            &params.lr,
+            threads,
+            combo,
+            columns,
+            lr_memo,
+        );
+        (
+            selection,
+            case.heap_bytes() as u64 + null.heap_bytes() as u64,
+        )
+    });
+    ctx.enclave.enter(|(), epc| epc.free(freed));
+    Ok(selection)
+}
+
+/// Dense-transport Phase 3 for one subset: broadcasts the full column
+/// set with its frequencies to every remote subset member, collects the
+/// members' dense LR matrices (mirroring the one-shot runtime's enclave
+/// accounting) and runs the seeded search.
+#[allow(clippy::too_many_arguments)]
+fn dense_seeded_selection<T: Transport>(
     ctx: &mut MemberCtx<T>,
     channels: &mut HashMap<usize, SecureChannel>,
     node: &GdoNode,
@@ -1128,116 +1323,73 @@ fn collect_seeded_selection<T: Transport>(
 ) -> Result<LrSelection, Interrupt> {
     let me = ctx.id;
     let threads = ctx.threads;
-    if ctx.compact_lr {
-        let mut parts: Vec<BitLrMatrix> = Vec::with_capacity(subset.len());
-        if subset.contains(&me) {
-            let own = ctx.enclave.enter(|(), epc| {
-                let m = BitLrMatrix::from_genotypes(node.shard(), columns, case_freqs, ref_freqs);
-                epc.alloc(m.heap_bytes() as u64);
-                m
-            });
-            parts.push(own);
+    let broadcast = ProtocolMessage::Phase2(
+        combo,
+        Phase2Broadcast {
+            retained: columns.iter().map(|s| s.0).collect(),
+            case_freqs: case_freqs.to_vec(),
+            ref_freqs: ref_freqs.to_vec(),
+        },
+    );
+    for &peer in subset {
+        if peer == me {
+            continue;
         }
-        for &peer in subset {
-            if peer == me {
-                continue;
-            }
-            let channel = channels.get_mut(&peer).expect("channel");
-            let m = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
-                ProtocolMessage::LrCompact(c, report) if c == combo => BitLrMatrix::from_raw_bits(
-                    report.individuals as usize,
-                    report.snps as usize,
-                    report.bits,
-                    case_freqs,
-                    ref_freqs,
-                )
-                .map_err(|_| ProtocolError::MalformedMessage { member: peer })?,
-                _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-            };
-            if m.snps() != columns.len() {
-                return Err(ProtocolError::MalformedMessage { member: peer }.into());
-            }
-            ctx.enclave
-                .enter(|(), epc| epc.alloc(m.heap_bytes() as u64));
-            parts.push(m);
-        }
-        let (selection, freed) = ctx.enclave.enter(|(), epc| {
-            let case_matrix = BitLrMatrix::concat_rows(&parts);
-            epc.alloc(case_matrix.heap_bytes() as u64);
-            let null_matrix =
-                BitLrMatrix::from_genotypes(reference, columns, case_freqs, ref_freqs);
-            epc.alloc(null_matrix.heap_bytes() as u64);
-            let selection = seeded_selection(
-                &case_matrix,
-                &null_matrix,
-                forced_cols,
-                order,
-                &params.lr,
-                threads,
-                combo,
-                columns,
-                lr_memo,
-            );
-            let freed = case_matrix.heap_bytes() as u64 + null_matrix.heap_bytes() as u64;
-            (selection, freed)
-        });
-        let part_bytes: u64 = parts.iter().map(|p| p.heap_bytes() as u64).sum();
-        ctx.enclave.enter(|(), epc| epc.free(freed + part_bytes));
-        Ok(selection)
-    } else {
-        let mut parts: Vec<LrMatrix> = Vec::with_capacity(subset.len());
-        if subset.contains(&me) {
-            let own = ctx.enclave.enter(|(), epc| {
-                let m = node
-                    .lr_report(columns, case_freqs, ref_freqs)
-                    .into_matrix()
-                    .expect("well-formed local matrix");
-                epc.alloc(m.heap_bytes() as u64);
-                m
-            });
-            parts.push(own);
-        }
-        for &peer in subset {
-            if peer == me {
-                continue;
-            }
-            let channel = channels.get_mut(&peer).expect("channel");
-            let m = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
-                ProtocolMessage::Lr(c, report) if c == combo => report
-                    .into_matrix()
-                    .map_err(|_| ProtocolError::MalformedMessage { member: peer })?,
-                _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-            };
-            if m.snps() != columns.len() {
-                return Err(ProtocolError::MalformedMessage { member: peer }.into());
-            }
-            ctx.enclave
-                .enter(|(), epc| epc.alloc(m.heap_bytes() as u64));
-            parts.push(m);
-        }
-        let (selection, freed) = ctx.enclave.enter(|(), epc| {
-            let case_matrix = LrMatrix::concat_rows(&parts);
-            epc.alloc(case_matrix.heap_bytes() as u64);
-            let null_matrix = LrMatrix::from_genotypes(reference, columns, case_freqs, ref_freqs);
-            epc.alloc(null_matrix.heap_bytes() as u64);
-            let selection = seeded_selection(
-                &case_matrix,
-                &null_matrix,
-                forced_cols,
-                order,
-                &params.lr,
-                threads,
-                combo,
-                columns,
-                lr_memo,
-            );
-            let freed = case_matrix.heap_bytes() as u64 + null_matrix.heap_bytes() as u64;
-            (selection, freed)
-        });
-        let part_bytes: u64 = parts.iter().map(|p| p.heap_bytes() as u64).sum();
-        ctx.enclave.enter(|(), epc| epc.free(freed + part_bytes));
-        Ok(selection)
+        let channel = channels.get_mut(&peer).expect("channel");
+        send_protocol(ctx, channel, peer, &broadcast)?;
     }
+    let mut parts: Vec<LrMatrix> = Vec::with_capacity(subset.len());
+    if subset.contains(&me) {
+        let own = ctx.enclave.enter(|(), epc| {
+            let m = node
+                .lr_report(columns, case_freqs, ref_freqs)
+                .into_matrix()
+                .expect("well-formed local matrix");
+            epc.alloc(m.heap_bytes() as u64);
+            m
+        });
+        parts.push(own);
+    }
+    for &peer in subset {
+        if peer == me {
+            continue;
+        }
+        let channel = channels.get_mut(&peer).expect("channel");
+        let m = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
+            ProtocolMessage::Lr(c, report) if c == combo => report
+                .into_matrix()
+                .map_err(|_| ProtocolError::MalformedMessage { member: peer })?,
+            _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
+        };
+        if m.snps() != columns.len() {
+            return Err(ProtocolError::MalformedMessage { member: peer }.into());
+        }
+        ctx.enclave
+            .enter(|(), epc| epc.alloc(m.heap_bytes() as u64));
+        parts.push(m);
+    }
+    let (selection, freed) = ctx.enclave.enter(|(), epc| {
+        let case_matrix = LrMatrix::concat_rows(&parts);
+        epc.alloc(case_matrix.heap_bytes() as u64);
+        let null_matrix = LrMatrix::from_genotypes(reference, columns, case_freqs, ref_freqs);
+        epc.alloc(null_matrix.heap_bytes() as u64);
+        let selection = seeded_selection(
+            &case_matrix,
+            &null_matrix,
+            forced_cols,
+            order,
+            &params.lr,
+            threads,
+            combo,
+            columns,
+            lr_memo,
+        );
+        let freed = case_matrix.heap_bytes() as u64 + null_matrix.heap_bytes() as u64;
+        (selection, freed)
+    });
+    let part_bytes: u64 = parts.iter().map(|p| p.heap_bytes() as u64).sum();
+    ctx.enclave.enter(|(), epc| epc.free(freed + part_bytes));
+    Ok(selection)
 }
 
 /// Handle to a running service session: one thread per member, a command
@@ -1324,11 +1476,37 @@ impl ServiceFederation {
             let reference = Arc::clone(&reference);
             let events = event_tx.clone();
             handles.push(std::thread::spawn(move || {
-                if let Err(error) = member_session(
-                    transport, id, &config, &params, options, shard, &reference, &cmd_rx, &events,
-                ) {
-                    let _ = events.send(SessionEvent::Failed { error });
-                }
+                let error = match catch_unwind(AssertUnwindSafe(|| {
+                    member_session(
+                        transport, id, &config, &params, options, shard, &reference, &cmd_rx,
+                        &events,
+                    )
+                })) {
+                    Ok(Ok(())) => return,
+                    Ok(Err(error)) => error,
+                    // Idle members keep the event channel open, so a
+                    // silent unwind would leave the handle waiting out its
+                    // whole session timeout. Report it as a lane-fatal
+                    // member failure so supervision rebuilds at once.
+                    Err(payload) => {
+                        let message = payload
+                            .downcast_ref::<&str>()
+                            .map(|s| (*s).to_string())
+                            .or_else(|| payload.downcast_ref::<String>().cloned())
+                            .unwrap_or_default();
+                        gendpr_obs::event(
+                            gendpr_obs::Level::Error,
+                            "serving",
+                            "member_panicked",
+                            &[("member", id.into()), ("panic", message.as_str().into())],
+                        );
+                        ProtocolError::MemberUnresponsive {
+                            member: id,
+                            phase: "a panic in its session thread",
+                        }
+                    }
+                };
+                let _ = events.send(SessionEvent::Failed { error });
             }));
         }
         drop(event_tx);
@@ -1591,8 +1769,21 @@ impl ServiceFederation {
         }
     }
 
+    /// Arms a one-shot failpoint: the leader's session thread panics when
+    /// job `job_id` reaches it. Only the panic is synthetic — reporting
+    /// it as a lane-fatal failure, and whatever supervision does next, is
+    /// the production path under test.
+    #[doc(hidden)]
+    pub fn inject_member_panic(&self, job_id: u64) {
+        let _ = self.commands[self.leader].send(SessionCommand::ArmPanic(job_id));
+    }
+
     /// Ends the session cleanly: the leader broadcasts `SessionEnd`,
     /// every member tears down its channels, and all threads are joined.
+    /// A session that already failed only reaps the member threads that
+    /// have exited: the others may sit in a protocol wait until their own
+    /// timeout (or, behind a dead leader, idle forever), and joining them
+    /// would stall a supervisor that is about to rebuild the lane.
     ///
     /// # Errors
     ///
@@ -1610,7 +1801,9 @@ impl ServiceFederation {
             }
         }
         for handle in std::mem::take(&mut self.handles) {
-            let _ = handle.join();
+            if self.failed.is_none() || handle.is_finished() {
+                let _ = handle.join();
+            }
         }
         match self.failed.take() {
             Some(e) => Err(e),

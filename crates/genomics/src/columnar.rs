@@ -13,6 +13,7 @@
 //! order), so building the columnar view costs O(N·L/64) word operations
 //! — amortized once per shard, then every kernel runs at memory speed.
 
+use crate::error::GenomicsError;
 use crate::genotype::GenotypeMatrix;
 use crate::snp::SnpId;
 
@@ -71,11 +72,39 @@ impl ColumnarGenotypes {
     /// Builds the SNP-major view by block-transposing `m`.
     #[must_use]
     pub fn from_matrix(m: &GenotypeMatrix) -> Self {
-        let individuals = m.individuals();
-        let snps = m.snps();
-        let words_per_row = m.words_per_row();
+        Self::transpose_rows(m.individuals(), m.snps(), m.words())
+    }
+
+    /// Builds the SNP-major view of a row-major bit buffer laid out as
+    /// [`Self::select_row_major`] produces it (row stride `⌈snps/64⌉`
+    /// words); the inverse of that gather. Bits past `snps` in a row's
+    /// last word are ignored.
+    ///
+    /// # Errors
+    ///
+    /// [`GenomicsError::DimensionMismatch`] if `words` does not hold
+    /// exactly `individuals` rows.
+    pub fn from_row_major(
+        individuals: usize,
+        snps: usize,
+        words: &[u64],
+    ) -> Result<Self, GenomicsError> {
+        let expected = individuals.checked_mul(snps.div_ceil(64));
+        if expected != Some(words.len()) {
+            return Err(GenomicsError::DimensionMismatch {
+                got: words.len(),
+                expected: expected.unwrap_or(usize::MAX),
+                what: "row-major words",
+            });
+        }
+        Ok(Self::transpose_rows(individuals, snps, words))
+    }
+
+    /// One 64×64 tile transpose per (individual-block, SNP-word) of a
+    /// row-major buffer with row stride `⌈snps/64⌉`.
+    fn transpose_rows(individuals: usize, snps: usize, src: &[u64]) -> Self {
+        let words_per_row = snps.div_ceil(64);
         let words_per_snp = individuals.div_ceil(64);
-        let src = m.words();
         let mut words = vec![0u64; snps * words_per_snp];
         let mut block = [0u64; 64];
         // One 64×64 tile per (individual-block q, snp-word w).
@@ -341,6 +370,32 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn from_row_major_inverts_select_row_major() {
+        for &(n, l) in &[(1, 1), (3, 70), (65, 63), (130, 129), (67, 200)] {
+            let m = random_matrix(n, l, (n * 7 + l) as u64, 0.4);
+            let c = ColumnarGenotypes::from_matrix(&m);
+            let snps: Vec<SnpId> = (0..l as u32).rev().step_by(3).map(SnpId).collect();
+            let mut packed = c.select_row_major(&snps);
+            // Garbage past the last column of each row is ignored.
+            let words_per_row = snps.len().div_ceil(64);
+            if !snps.len().is_multiple_of(64) {
+                for i in 0..n {
+                    packed[i * words_per_row + words_per_row - 1] |= u64::MAX << (snps.len() % 64);
+                }
+            }
+            let back = ColumnarGenotypes::from_row_major(n, snps.len(), &packed).unwrap();
+            for (j, &id) in snps.iter().enumerate() {
+                assert_eq!(
+                    back.snp_words(SnpId(j as u32)),
+                    c.snp_words(id),
+                    "{n}x{l} col {j}"
+                );
+            }
+        }
+        assert!(ColumnarGenotypes::from_row_major(3, 70, &[0; 5]).is_err());
     }
 
     #[test]

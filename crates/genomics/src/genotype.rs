@@ -91,11 +91,6 @@ impl GenotypeMatrix {
         &self.words
     }
 
-    /// Words per packed row.
-    pub(crate) fn words_per_row(&self) -> usize {
-        self.words_per_row
-    }
-
     /// Returns the allele of `individual` at SNP `snp` as 0 or 1.
     ///
     /// # Panics

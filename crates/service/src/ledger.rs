@@ -966,7 +966,8 @@ mod tests {
                 .append(true)
                 .open(&primary)
                 .unwrap();
-            f.write_all(&seal_frame(&wire::to_bytes(&sample(2)))).unwrap();
+            f.write_all(&seal_frame(&wire::to_bytes(&sample(2))))
+                .unwrap();
         }
         assert_eq!(ledger.refresh().unwrap(), 1);
         assert_eq!(ledger.records()[1], sample(2));

@@ -533,17 +533,44 @@ impl LrColumns {
         case_freqs: &[f64],
         ref_freqs: &[f64],
     ) -> Self {
-        assert!(!parts.is_empty(), "need at least one shard");
         assert_eq!(snps.len(), case_freqs.len(), "one case frequency per SNP");
+        let sizes: Vec<usize> = parts.iter().map(|p| p.individuals()).collect();
+        Self::from_part_columns(&sizes, case_freqs, ref_freqs, |p, j| {
+            parts[p].snp_words(snps[j])
+        })
+    }
+
+    /// Builds the columnar view of the row-concatenation of parts whose
+    /// columns are supplied one by one: `column(p, j)` is part `p`'s
+    /// indicator bits for column `j`, `⌈part_individuals[p]/64⌉` words
+    /// with zero tail bits (the layout of
+    /// [`ColumnarGenotypes::snp_words`]). Column `j` of the result is the
+    /// parts' vectors stitched end to end in part order; part sizes need
+    /// not be word-aligned.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `part_individuals` is empty, the frequency vectors
+    /// disagree in length, or a supplied column has the wrong word count.
+    #[must_use]
+    pub fn from_part_columns<'a>(
+        part_individuals: &[usize],
+        case_freqs: &[f64],
+        ref_freqs: &[f64],
+        column: impl Fn(usize, usize) -> &'a [u64],
+    ) -> Self {
+        assert!(!part_individuals.is_empty(), "need at least one shard");
         let (major, minor) = lr_levels(case_freqs, ref_freqs);
-        let n: usize = parts.iter().map(|p| p.individuals()).sum();
+        let snps = major.len();
+        let n: usize = part_individuals.iter().sum();
         let words_per_col = n.div_ceil(64);
-        let mut bits = vec![0u64; snps.len() * words_per_col];
-        for (j, &id) in snps.iter().enumerate() {
+        let mut bits = vec![0u64; snps * words_per_col];
+        for j in 0..snps {
             let col = &mut bits[j * words_per_col..(j + 1) * words_per_col];
             let mut offset = 0usize;
-            for part in parts {
-                let words = part.snp_words(id);
+            for (p, &size) in part_individuals.iter().enumerate() {
+                let words = column(p, j);
+                assert_eq!(words.len(), size.div_ceil(64), "column word count");
                 let base = offset / 64;
                 let shift = offset % 64;
                 if shift == 0 {
@@ -559,12 +586,12 @@ impl LrColumns {
                         }
                     }
                 }
-                offset += part.individuals();
+                offset += size;
             }
         }
         Self {
             individuals: n,
-            snps: snps.len(),
+            snps,
             words_per_col,
             bits: bits.into(),
             major,

@@ -6,12 +6,13 @@
 //! as exact values.
 
 use gendpr_crypto::rng::ChaChaRng;
+use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::lr::{
     select_safe_subset, select_safe_subset_naive, select_safe_subset_seeded,
     select_safe_subset_seeded_naive, select_safe_subset_seeded_threads, select_safe_subset_threads,
-    BitLrMatrix, LrMatrix, LrTestParams, LrValues,
+    BitLrMatrix, LrColumns, LrMatrix, LrTestParams, LrValues,
 };
 use proptest::prelude::*;
 
@@ -201,6 +202,53 @@ proptest! {
             &case_p, &null_p, forced, order, &params, threads, None,
         );
         prop_assert_eq!(&parallel_seeded, &serial_seeded);
+    }
+
+    #[test]
+    fn stitched_part_columns_equal_concatenated_rows(
+        sizes in proptest::collection::vec(1usize..150, 1..5),
+        snps in 1usize..90,
+        seed in any::<u64>(),
+    ) {
+        // Part sizes off the 64-row word grid, so every stitch shifts.
+        let sizes: Vec<usize> = sizes.iter().map(|&s| if s.is_multiple_of(64) { s + 1 } else { s }).collect();
+        let fx = Fixture::generate(sizes.iter().sum(), 10, snps, 0.2, seed);
+        let mut start = 0;
+        let parts: Vec<GenotypeMatrix> = sizes
+            .iter()
+            .map(|&n| {
+                let part = fx.case_g.row_range(start, n);
+                start += n;
+                part
+            })
+            .collect();
+        let reference = LrColumns::from_bit_matrix(&BitLrMatrix::concat_rows(
+            &parts
+                .iter()
+                .map(|p| BitLrMatrix::from_genotypes(p, &fx.ids, &fx.case_freqs, &fx.ref_freqs))
+                .collect::<Vec<_>>(),
+        ));
+
+        // Each part's columns as a leader holds them after a compact LR
+        // report: the member's row-major gather, transposed back.
+        let shipped: Vec<ColumnarGenotypes> = parts
+            .iter()
+            .map(|p| {
+                let rows = ColumnarGenotypes::from_matrix(p).select_row_major(&fx.ids);
+                ColumnarGenotypes::from_row_major(p.individuals(), fx.ids.len(), &rows).unwrap()
+            })
+            .collect();
+        let stitched = LrColumns::from_part_columns(&sizes, &fx.case_freqs, &fx.ref_freqs, |p, j| {
+            shipped[p].snp_words(SnpId(j as u32))
+        });
+        prop_assert_eq!(&stitched, &reference);
+
+        let columnar: Vec<ColumnarGenotypes> = parts.iter().map(ColumnarGenotypes::from_matrix).collect();
+        let refs: Vec<&ColumnarGenotypes> = columnar.iter().collect();
+        prop_assert_eq!(
+            &LrColumns::from_columnar_parts(&refs, &fx.ids, &fx.case_freqs, &fx.ref_freqs),
+            &reference
+        );
     }
 
     #[test]

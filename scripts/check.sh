@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo health check: formatting, lints, full test suite.
+# Repo health check: formatting, lints, workspace tests, benchmark tests.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -10,8 +10,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "==> cargo test -q"
+# The root manifest's default-members cover every crate, so this runs
+# the facade's tests and each crate's own unit and property tests.
+echo "==> workspace tests (cargo test -q)"
 cargo test -q
+
+# The benchmark is its own cargo workspace; its unit tests run here.
+echo "==> benchmark unit tests (perfbench)"
+cargo test -q --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run

@@ -48,9 +48,12 @@ fn params() -> GwasParams {
     }
 }
 
-fn options() -> RuntimeOptions {
+/// `compact` selects the bit-packed LR transport `gendpr serve` runs
+/// (with its lane-resident column cache); off is the dense transport.
+fn options(compact: bool) -> RuntimeOptions {
     RuntimeOptions {
         timeout: TIMEOUT,
+        compact_lr: compact,
         ..RuntimeOptions::default()
     }
 }
@@ -62,11 +65,12 @@ fn temp_ledger(tag: &str) -> PathBuf {
     dir.join("ledger.bin")
 }
 
-fn memory_lane(cohort: &SyntheticCohort) -> ServiceFederation {
-    ServiceFederation::start_in_memory(config(3), params(), cohort, options()).expect("lane starts")
+fn memory_lane(cohort: &SyntheticCohort, compact: bool) -> ServiceFederation {
+    ServiceFederation::start_in_memory(config(3), params(), cohort, options(compact))
+        .expect("lane starts")
 }
 
-fn tcp_lane(cohort: &SyntheticCohort) -> ServiceFederation {
+fn tcp_lane(cohort: &SyntheticCohort, compact: bool) -> ServiceFederation {
     let (roster, listeners) = ephemeral_listeners(3).expect("localhost listeners");
     let transports: Vec<TcpTransport> = listeners
         .into_iter()
@@ -76,7 +80,7 @@ fn tcp_lane(cohort: &SyntheticCohort) -> ServiceFederation {
                 .expect("transport from bound listener")
         })
         .collect();
-    ServiceFederation::start_over(transports, config(3), params(), cohort, options())
+    ServiceFederation::start_over(transports, config(3), params(), cohort, options(compact))
         .expect("lane starts")
 }
 
@@ -85,14 +89,15 @@ fn start_pool(
     max_queue: usize,
     ledger: ReleaseLedger,
     tcp: bool,
+    compact: bool,
 ) -> AssessmentService {
     let cohort = study();
     let lanes: Vec<ServiceFederation> = (0..workers)
         .map(|_| {
             if tcp {
-                tcp_lane(&cohort)
+                tcp_lane(&cohort, compact)
             } else {
-                memory_lane(&cohort)
+                memory_lane(&cohort, compact)
             }
         })
         .collect();
@@ -115,16 +120,30 @@ fn start_pool(
 /// A pool under lane supervision: the daemon holds a factory that
 /// re-elects and re-attests a replacement federation whenever a lane
 /// dies, so lane crashes retry instead of failing the job.
-fn supervised_pool(config: SchedulerConfig, ledger: ReleaseLedger, tcp: bool) -> AssessmentService {
+fn supervised_pool(
+    config: SchedulerConfig,
+    ledger: ReleaseLedger,
+    tcp: bool,
+    compact: bool,
+) -> AssessmentService {
     let cohort = std::sync::Arc::new(study());
     let factory_cohort = std::sync::Arc::clone(&cohort);
     let factory: LaneFactory = std::sync::Arc::new(move || {
         Ok(if tcp {
-            tcp_lane(&factory_cohort)
+            tcp_lane(&factory_cohort, compact)
         } else {
-            memory_lane(&factory_cohort)
+            memory_lane(&factory_cohort, compact)
         })
     });
+    supervised_pool_with(factory, &cohort, config, ledger)
+}
+
+fn supervised_pool_with(
+    factory: LaneFactory,
+    cohort: &SyntheticCohort,
+    config: SchedulerConfig,
+    ledger: ReleaseLedger,
+) -> AssessmentService {
     let lanes: Vec<ServiceFederation> = (0..config.workers)
         .map(|_| factory().expect("initial lane starts"))
         .collect();
@@ -133,7 +152,7 @@ fn supervised_pool(config: SchedulerConfig, ledger: ReleaseLedger, tcp: bool) ->
         lanes,
         factory,
         ledger,
-        (*cohort).as_ref(),
+        cohort.as_ref(),
         params(),
         listener,
         config,
@@ -152,9 +171,20 @@ fn deterministic(record: &LedgerRecord) -> LedgerRecord {
 
 /// Runs the same three-job single-client workload against a pool and
 /// returns the committed records, normalized for comparison.
-fn single_client_workload(workers: usize, tag: &str, tcp: bool) -> Vec<LedgerRecord> {
-    let path = temp_ledger(tag);
-    let mut service = start_pool(workers, 16, ReleaseLedger::open(&path).unwrap(), tcp);
+fn single_client_workload(
+    workers: usize,
+    tag: &str,
+    tcp: bool,
+    compact: bool,
+) -> Vec<LedgerRecord> {
+    let path = temp_ledger(&format!("{tag}-{compact}"));
+    let mut service = start_pool(
+        workers,
+        16,
+        ReleaseLedger::open(&path).unwrap(),
+        tcp,
+        compact,
+    );
     let panels: [Vec<u32>; 3] = [(0..60).collect(), (30..100).collect(), (0..40).collect()];
     let records: Vec<LedgerRecord> = panels
         .into_iter()
@@ -167,29 +197,46 @@ fn single_client_workload(workers: usize, tag: &str, tcp: bool) -> Vec<LedgerRec
 #[test]
 fn single_client_workload_is_byte_identical_across_pool_sizes() {
     // The FIFO baseline is workers = 1; a pool must not change a single
-    // client's releases, certificates or ledger contents.
-    let fifo = single_client_workload(1, "ident-fifo", false);
-    let pooled = single_client_workload(4, "ident-pool", false);
-    assert_eq!(fifo, pooled, "worker pool changed a single-client workload");
-    assert!(fifo
-        .iter()
-        .all(|r| r.certificate.is_some() && !r.released.is_empty()));
+    // client's releases, certificates or ledger contents, on either LR
+    // transport — and the two transports certify the same workload.
+    let mut per_transport = Vec::new();
+    for compact in [false, true] {
+        let fifo = single_client_workload(1, "ident-fifo", false, compact);
+        let pooled = single_client_workload(4, "ident-pool", false, compact);
+        assert_eq!(
+            fifo, pooled,
+            "worker pool changed a single-client workload (compact={compact})"
+        );
+        assert!(fifo
+            .iter()
+            .all(|r| r.certificate.is_some() && !r.released.is_empty()));
+        per_transport.push(fifo);
+    }
+    assert_eq!(
+        per_transport[0], per_transport[1],
+        "the LR transport changed the certified workload"
+    );
 }
 
 #[test]
 fn single_client_workload_is_byte_identical_over_tcp_lanes() {
-    let fifo = single_client_workload(1, "ident-tcp-fifo", true);
-    let pooled = single_client_workload(2, "ident-tcp-pool", true);
-    assert_eq!(fifo, pooled);
-    // And the TCP mesh certifies exactly what the in-memory fabric does.
-    let memory = single_client_workload(1, "ident-mem-again", false);
-    assert_eq!(fifo, memory, "transport changed the certified workload");
+    for compact in [false, true] {
+        let fifo = single_client_workload(1, "ident-tcp-fifo", true, compact);
+        let pooled = single_client_workload(2, "ident-tcp-pool", true, compact);
+        assert_eq!(fifo, pooled, "compact={compact}");
+        // And the TCP mesh certifies exactly what the in-memory fabric does.
+        let memory = single_client_workload(1, "ident-mem-again", false, compact);
+        assert_eq!(
+            fifo, memory,
+            "transport changed the certified workload (compact={compact})"
+        );
+    }
 }
 
 #[test]
 fn concurrent_jobs_commit_in_dispatch_order_with_cumulative_seeds() {
     let path = temp_ledger("dispatch-order");
-    let service = start_pool(4, 16, ReleaseLedger::open(&path).unwrap(), false);
+    let service = start_pool(4, 16, ReleaseLedger::open(&path).unwrap(), false, false);
 
     // Enqueue sequentially (deterministic dispatch order), execute on
     // four lanes concurrently, wait on all tickets.
@@ -260,45 +307,61 @@ fn assert_prefix_seeded(records: &[LedgerRecord]) {
 
 #[test]
 fn restart_mid_sequence_preserves_certificates_under_a_pool() {
-    // Continuous pool: three jobs against one ledger.
-    let continuous_path = temp_ledger("restart-continuous");
-    let mut continuous = start_pool(4, 16, ReleaseLedger::open(&continuous_path).unwrap(), false);
-    let a = continuous.execute((0..60).collect(), 0).unwrap();
-    let b = continuous.execute((30..100).collect(), 0).unwrap();
-    let c = continuous.execute((0..40).collect(), 0).unwrap();
-    continuous.stop().unwrap();
+    // A restart starts the lanes cold, so on the compact transport it
+    // also proves the lane-resident LR columns never change a release.
+    for compact in [false, true] {
+        // Continuous pool: three jobs against one ledger.
+        let continuous_path = temp_ledger(&format!("restart-continuous-{compact}"));
+        let mut continuous = start_pool(
+            4,
+            16,
+            ReleaseLedger::open(&continuous_path).unwrap(),
+            false,
+            compact,
+        );
+        let a = continuous.execute((0..60).collect(), 0).unwrap();
+        let b = continuous.execute((30..100).collect(), 0).unwrap();
+        let c = continuous.execute((0..40).collect(), 0).unwrap();
+        continuous.stop().unwrap();
 
-    // Same workload, but the daemon restarts (fresh pool, surviving
-    // ledger) between jobs 2 and 3.
-    let restart_path = temp_ledger("restart-split");
-    let mut before = start_pool(4, 16, ReleaseLedger::open(&restart_path).unwrap(), false);
-    assert_eq!(
-        deterministic(&before.execute((0..60).collect(), 0).unwrap()),
-        deterministic(&a)
-    );
-    assert_eq!(
-        deterministic(&before.execute((30..100).collect(), 0).unwrap()),
-        deterministic(&b)
-    );
-    before.stop().unwrap();
+        // Same workload, but the daemon restarts (fresh pool, surviving
+        // ledger) between jobs 2 and 3.
+        let restart_path = temp_ledger(&format!("restart-split-{compact}"));
+        let mut before = start_pool(
+            4,
+            16,
+            ReleaseLedger::open(&restart_path).unwrap(),
+            false,
+            compact,
+        );
+        assert_eq!(
+            deterministic(&before.execute((0..60).collect(), 0).unwrap()),
+            deterministic(&a)
+        );
+        assert_eq!(
+            deterministic(&before.execute((30..100).collect(), 0).unwrap()),
+            deterministic(&b)
+        );
+        before.stop().unwrap();
 
-    let reopened = ReleaseLedger::open(&restart_path).unwrap();
-    assert_eq!(reopened.len(), 2, "the ledger survived the restart");
-    let mut after = start_pool(4, 16, reopened, false);
-    let c_again = after.execute((0..40).collect(), 0).unwrap();
-    after.stop().unwrap();
+        let reopened = ReleaseLedger::open(&restart_path).unwrap();
+        assert_eq!(reopened.len(), 2, "the ledger survived the restart");
+        let mut after = start_pool(4, 16, reopened, false, compact);
+        let c_again = after.execute((0..40).collect(), 0).unwrap();
+        after.stop().unwrap();
 
-    assert_eq!(
-        c_again.certificate, c.certificate,
-        "restarting between jobs must not change the third certificate"
-    );
-    assert_eq!(deterministic(&c_again), deterministic(&c));
+        assert_eq!(
+            c_again.certificate, c.certificate,
+            "restarting between jobs must not change the third certificate"
+        );
+        assert_eq!(deterministic(&c_again), deterministic(&c));
+    }
 }
 
 #[test]
 fn admission_rejects_at_the_queue_bound_with_the_typed_error() {
     let path = temp_ledger("admission");
-    let service = start_pool(1, 2, ReleaseLedger::open(&path).unwrap(), false);
+    let service = start_pool(1, 2, ReleaseLedger::open(&path).unwrap(), false, false);
     // Hold dispatch so the queue can be driven to the bound exactly.
     service.pause_dispatch();
     let first = service
@@ -337,7 +400,7 @@ fn admission_rejects_at_the_queue_bound_with_the_typed_error() {
 #[test]
 fn tcp_clients_see_the_typed_backpressure_kind() {
     let path = temp_ledger("backpressure");
-    let service = start_pool(1, 1, ReleaseLedger::open(&path).unwrap(), false);
+    let service = start_pool(1, 1, ReleaseLedger::open(&path).unwrap(), false, false);
     let client = ServiceClient::new(service.client_addr());
     service.pause_dispatch();
     client
@@ -360,7 +423,7 @@ fn tcp_clients_see_the_typed_backpressure_kind() {
 #[test]
 fn shutdown_rejects_undispatched_jobs_with_the_typed_verdict() {
     let path = temp_ledger("drain");
-    let service = start_pool(1, 8, ReleaseLedger::open(&path).unwrap(), false);
+    let service = start_pool(1, 8, ReleaseLedger::open(&path).unwrap(), false, false);
     service.pause_dispatch();
     let queued: Vec<_> = (0..3)
         .map(|_| {
@@ -381,7 +444,7 @@ fn shutdown_rejects_undispatched_jobs_with_the_typed_verdict() {
 #[test]
 fn concurrent_clients_share_one_daemon_over_tcp() {
     let path = temp_ledger("concurrent-clients");
-    let service = start_pool(2, 32, ReleaseLedger::open(&path).unwrap(), false);
+    let service = start_pool(2, 32, ReleaseLedger::open(&path).unwrap(), false, false);
     let addr = service.client_addr();
 
     let submitters: Vec<_> = (0..6)
@@ -460,6 +523,7 @@ proptest! {
             starts.len(),
             ReleaseLedger::open(&path).unwrap(),
             false,
+            false,
         ));
         let handles: Vec<_> = starts
             .iter()
@@ -501,7 +565,7 @@ proptest! {
 /// three-job workload every crash scenario must reproduce byte for byte.
 fn crash_free_baseline() -> &'static Vec<LedgerRecord> {
     static BASELINE: std::sync::OnceLock<Vec<LedgerRecord>> = std::sync::OnceLock::new();
-    BASELINE.get_or_init(|| single_client_workload(2, "crash-baseline", false))
+    BASELINE.get_or_init(|| single_client_workload(2, "crash-baseline", false, false))
 }
 
 proptest! {
@@ -510,11 +574,12 @@ proptest! {
     // A lane dying at a random point in the workload must be invisible in
     // the output: the job is re-queued, a replacement lane is re-elected
     // and re-attested, and every certificate is byte-identical to the
-    // crash-free run — on both transports.
+    // crash-free run — on both fabrics and both LR transports (a rebuilt
+    // compact lane starts with no resident LR columns).
     #[test]
     fn lane_crash_mid_workload_certifies_identically(crash_job in 1u64..4) {
-        for tcp in [false, true] {
-            let path = temp_ledger(&format!("lane-crash-{crash_job}-{tcp}"));
+        for (tcp, compact) in [(false, false), (true, false), (false, true), (true, true)] {
+            let path = temp_ledger(&format!("lane-crash-{crash_job}-{tcp}-{compact}"));
             let mut service = supervised_pool(
                 SchedulerConfig {
                     workers: 2,
@@ -523,6 +588,7 @@ proptest! {
                 },
                 ReleaseLedger::open(&path).unwrap(),
                 tcp,
+                compact,
             );
             service.inject_lane_crash(crash_job);
             let panels: [Vec<u32>; 3] = [(0..60).collect(), (30..100).collect(), (0..40).collect()];
@@ -539,8 +605,9 @@ proptest! {
             prop_assert_eq!(
                 &normalized,
                 crash_free_baseline(),
-                "a lane crash (tcp={}) changed a certificate",
-                tcp
+                "a lane crash (tcp={}, compact={}) changed a certificate",
+                tcp,
+                compact
             );
         }
     }
@@ -557,6 +624,7 @@ fn retry_budget_exhaustion_surfaces_the_typed_verdict() {
             ..SchedulerConfig::default()
         },
         ReleaseLedger::open(&path).unwrap(),
+        false,
         false,
     );
     // The panic failpoint is persistent: every attempt of job 1 dies, so
@@ -596,6 +664,7 @@ fn hard_drain_timeout_answers_stragglers_with_shutting_down() {
         },
         ReleaseLedger::open(&path).unwrap(),
         false,
+        false,
     );
     // Job 1 stalls far past the drain timeout; stop() must convert it to
     // a shutting-down verdict instead of waiting out the stall.
@@ -613,4 +682,53 @@ fn hard_drain_timeout_answers_stragglers_with_shutting_down() {
     );
     assert!(matches!(ticket.wait(), Err(ServiceError::ShuttingDown)));
     assert_eq!(ReleaseLedger::open(&path).unwrap().len(), 0);
+}
+
+#[test]
+fn a_member_thread_panic_rebuilds_the_lane_at_once() {
+    // The first lane's leader thread panics when job 1 reaches it. The
+    // unwind must surface as a lane-fatal failure straight away — not
+    // after the session timeout the idle followers would otherwise hold
+    // the lane open for — so the job is re-queued onto a rebuilt lane and
+    // certifies exactly as in the crash-free run.
+    let cohort = std::sync::Arc::new(study());
+    let built = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let factory: LaneFactory = {
+        let cohort = std::sync::Arc::clone(&cohort);
+        let built = std::sync::Arc::clone(&built);
+        std::sync::Arc::new(move || {
+            let lane = memory_lane(&cohort, true);
+            if built.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 0 {
+                lane.inject_member_panic(1);
+            }
+            Ok(lane)
+        })
+    };
+    let path = temp_ledger("member-panic");
+    let mut service = supervised_pool_with(
+        factory,
+        &cohort,
+        SchedulerConfig {
+            workers: 1,
+            max_queue: 8,
+            ..SchedulerConfig::default()
+        },
+        ReleaseLedger::open(&path).unwrap(),
+    );
+    let started = std::time::Instant::now();
+    let record = service
+        .execute((0..60).collect(), 0)
+        .expect("the job certifies on the rebuilt lane");
+    assert!(
+        started.elapsed() < TIMEOUT,
+        "the panicked lane was only noticed after {:?}",
+        started.elapsed()
+    );
+    assert_eq!(
+        built.load(std::sync::atomic::Ordering::SeqCst),
+        2,
+        "one rebuild"
+    );
+    assert_eq!(deterministic(&record), crash_free_baseline()[0]);
+    service.stop().expect("daemon drains cleanly");
 }

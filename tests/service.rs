@@ -7,7 +7,7 @@
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr::core::error::ProtocolError;
 use gendpr::core::runtime::{run_federation_with, RuntimeOptions};
-use gendpr::core::serving::{JobSpec, ServiceFederation};
+use gendpr::core::serving::{JobOutcome, JobSpec, ServiceFederation};
 use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
 use gendpr::fednet::transport::PeerId;
 use gendpr::genomics::snp::SnpId;
@@ -47,9 +47,12 @@ fn params() -> GwasParams {
     }
 }
 
-fn options() -> RuntimeOptions {
+/// `compact` selects the bit-packed LR transport `gendpr serve` runs
+/// (with its lane-resident column cache); off is the dense transport.
+fn options(compact: bool) -> RuntimeOptions {
     RuntimeOptions {
         timeout: TIMEOUT,
+        compact_lr: compact,
         ..RuntimeOptions::default()
     }
 }
@@ -58,7 +61,7 @@ fn snps(range: std::ops::Range<u32>) -> Vec<SnpId> {
     range.map(SnpId).collect()
 }
 
-fn start_tcp_session(g: usize) -> ServiceFederation {
+fn start_tcp_session(g: usize, compact: bool) -> ServiceFederation {
     let (roster, listeners) = ephemeral_listeners(g).expect("localhost listeners");
     let transports: Vec<TcpTransport> = listeners
         .into_iter()
@@ -68,14 +71,14 @@ fn start_tcp_session(g: usize) -> ServiceFederation {
                 .expect("transport from bound listener")
         })
         .collect();
-    ServiceFederation::start_over(transports, config(g), params(), study(), options())
+    ServiceFederation::start_over(transports, config(g), params(), study(), options(compact))
         .expect("session starts")
 }
 
 #[test]
 fn two_jobs_charge_the_cumulative_release() {
     let mut session =
-        ServiceFederation::start_in_memory(config(3), params(), study(), options()).unwrap();
+        ServiceFederation::start_in_memory(config(3), params(), study(), options(false)).unwrap();
 
     let first = session
         .submit(&JobSpec {
@@ -131,30 +134,34 @@ fn two_jobs_charge_the_cumulative_release() {
 fn full_panel_job_matches_the_one_shot_runtime() {
     // A single job over the full panel with nothing forced must select
     // exactly what the one-shot runtime selects: the session layer may
-    // not perturb the assessment itself.
-    let standalone = run_federation_with(config(3), params(), study(), None, options()).unwrap();
+    // not perturb the assessment itself, on either LR transport.
+    for compact in [false, true] {
+        let standalone =
+            run_federation_with(config(3), params(), study(), None, options(compact)).unwrap();
 
-    let mut session =
-        ServiceFederation::start_in_memory(config(3), params(), study(), options()).unwrap();
-    let job = session
-        .submit(&JobSpec {
-            job_id: 7,
-            panel: snps(0..100),
-            forced: vec![],
-        })
-        .unwrap();
-    assert_eq!(job.leader, standalone.leader);
-    assert_eq!(job.l_prime, standalone.l_prime);
-    assert_eq!(job.l_double_prime, standalone.l_double_prime);
-    assert_eq!(job.released, standalone.safe_snps);
-    // Same safe set, but the service certificate additionally binds the
-    // job context, so the quotes must differ.
-    assert_eq!(
-        job.certificate.safe_digest,
-        standalone.certificate.safe_digest
-    );
-    assert_ne!(job.certificate, standalone.certificate);
-    session.shutdown().unwrap();
+        let mut session =
+            ServiceFederation::start_in_memory(config(3), params(), study(), options(compact))
+                .unwrap();
+        let job = session
+            .submit(&JobSpec {
+                job_id: 7,
+                panel: snps(0..100),
+                forced: vec![],
+            })
+            .unwrap();
+        assert_eq!(job.leader, standalone.leader);
+        assert_eq!(job.l_prime, standalone.l_prime);
+        assert_eq!(job.l_double_prime, standalone.l_double_prime);
+        assert_eq!(job.released, standalone.safe_snps, "compact={compact}");
+        // Same safe set, but the service certificate additionally binds the
+        // job context, so the quotes must differ.
+        assert_eq!(
+            job.certificate.safe_digest,
+            standalone.certificate.safe_digest
+        );
+        assert_ne!(job.certificate, standalone.certificate);
+        session.shutdown().unwrap();
+    }
 }
 
 #[test]
@@ -181,25 +188,38 @@ fn jobs_are_byte_identical_across_transports() {
         (first, second)
     };
 
-    let memory =
-        run(ServiceFederation::start_in_memory(config(3), params(), study(), options()).unwrap());
-    let tcp = run(start_tcp_session(3));
-
-    assert_eq!(memory.0.released, tcp.0.released);
-    assert_eq!(memory.1.released, tcp.1.released);
-    assert_eq!(
-        memory.0.certificate, tcp.0.certificate,
-        "certificates must be byte-identical across transports"
-    );
-    assert_eq!(memory.1.certificate, tcp.1.certificate);
-    assert_eq!(memory.1.final_power, tcp.1.final_power);
+    // Fabric (in-memory vs TCP) × LR transport (dense vs compact): all
+    // four shapes certify the same two jobs.
+    let reference =
+        run(
+            ServiceFederation::start_in_memory(config(3), params(), study(), options(false))
+                .unwrap(),
+        );
+    for compact in [false, true] {
+        let memory =
+            run(
+                ServiceFederation::start_in_memory(config(3), params(), study(), options(compact))
+                    .unwrap(),
+            );
+        let tcp = run(start_tcp_session(3, compact));
+        for other in [&memory, &tcp] {
+            assert_eq!(reference.0.released, other.0.released, "compact={compact}");
+            assert_eq!(reference.1.released, other.1.released, "compact={compact}");
+            assert_eq!(
+                reference.0.certificate, other.0.certificate,
+                "certificates must be byte-identical across transports (compact={compact})"
+            );
+            assert_eq!(reference.1.certificate, other.1.certificate);
+            assert_eq!(reference.1.final_power, other.1.final_power);
+        }
+    }
 }
 
 #[test]
 fn collusion_subsets_apply_per_job() {
     let config = config(3).with_collusion(CollusionMode::Fixed(1));
     let mut session =
-        ServiceFederation::start_in_memory(config, params(), study(), options()).unwrap();
+        ServiceFederation::start_in_memory(config, params(), study(), options(false)).unwrap();
     let job = session
         .submit(&JobSpec {
             job_id: 1,
@@ -219,10 +239,10 @@ fn temp_ledger(tag: &str) -> PathBuf {
     dir.join("ledger.bin")
 }
 
-fn start_daemon(ledger: ReleaseLedger) -> AssessmentService {
+fn start_daemon(ledger: ReleaseLedger, compact: bool) -> AssessmentService {
     let cohort = study();
     let federation =
-        ServiceFederation::start_in_memory(config(3), params(), &cohort, options()).unwrap();
+        ServiceFederation::start_in_memory(config(3), params(), &cohort, options(compact)).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
     AssessmentService::start(federation, ledger, cohort.as_ref(), params(), listener)
         .expect("daemon starts")
@@ -239,45 +259,47 @@ fn deterministic(record: &LedgerRecord) -> LedgerRecord {
 
 #[test]
 fn daemon_restart_preserves_the_second_certificate() {
-    // Continuous daemon: job 1 then job 2 against one ledger.
-    let continuous_path = temp_ledger("continuous");
-    let mut continuous = start_daemon(ReleaseLedger::open(&continuous_path).unwrap());
-    let first = continuous.execute((0..60).collect(), 0).unwrap();
-    assert_eq!(first.job_id, 1);
-    assert!(!first.released.is_empty());
-    let second = continuous.execute((30..100).collect(), 0).unwrap();
-    assert_eq!(second.job_id, 2);
-    assert_eq!(
-        second.forced, first.released,
-        "job 2's LR phase is seeded with job 1's release from the ledger"
-    );
-    continuous.stop().unwrap();
+    for compact in [false, true] {
+        // Continuous daemon: job 1 then job 2 against one ledger.
+        let continuous_path = temp_ledger(&format!("continuous-{compact}"));
+        let mut continuous = start_daemon(ReleaseLedger::open(&continuous_path).unwrap(), compact);
+        let first = continuous.execute((0..60).collect(), 0).unwrap();
+        assert_eq!(first.job_id, 1);
+        assert!(!first.released.is_empty());
+        let second = continuous.execute((30..100).collect(), 0).unwrap();
+        assert_eq!(second.job_id, 2);
+        assert_eq!(
+            second.forced, first.released,
+            "job 2's LR phase is seeded with job 1's release from the ledger"
+        );
+        continuous.stop().unwrap();
 
-    // Restarted daemon: job 1, kill the daemon, bring up a fresh one on
-    // the surviving ledger, job 2.
-    let restart_path = temp_ledger("restart");
-    let mut before = start_daemon(ReleaseLedger::open(&restart_path).unwrap());
-    let first_again = before.execute((0..60).collect(), 0).unwrap();
-    assert_eq!(deterministic(&first_again), deterministic(&first));
-    before.stop().unwrap();
+        // Restarted daemon: job 1, kill the daemon, bring up a fresh one on
+        // the surviving ledger, job 2.
+        let restart_path = temp_ledger(&format!("restart-{compact}"));
+        let mut before = start_daemon(ReleaseLedger::open(&restart_path).unwrap(), compact);
+        let first_again = before.execute((0..60).collect(), 0).unwrap();
+        assert_eq!(deterministic(&first_again), deterministic(&first));
+        before.stop().unwrap();
 
-    let reopened = ReleaseLedger::open(&restart_path).unwrap();
-    assert_eq!(reopened.len(), 1, "the ledger survived the restart");
-    let mut after = start_daemon(reopened);
-    let second_again = after.execute((30..100).collect(), 0).unwrap();
-    after.stop().unwrap();
+        let reopened = ReleaseLedger::open(&restart_path).unwrap();
+        assert_eq!(reopened.len(), 1, "the ledger survived the restart");
+        let mut after = start_daemon(reopened, compact);
+        let second_again = after.execute((30..100).collect(), 0).unwrap();
+        after.stop().unwrap();
 
-    assert_eq!(
-        second_again.certificate, second.certificate,
-        "restarting between jobs must not change the second certificate"
-    );
-    assert_eq!(deterministic(&second_again), deterministic(&second));
+        assert_eq!(
+            second_again.certificate, second.certificate,
+            "restarting between jobs must not change the second certificate"
+        );
+        assert_eq!(deterministic(&second_again), deterministic(&second));
+    }
 }
 
 #[test]
 fn client_protocol_drives_a_live_daemon() {
     let path = temp_ledger("client");
-    let daemon = start_daemon(ReleaseLedger::open(&path).unwrap());
+    let daemon = start_daemon(ReleaseLedger::open(&path).unwrap(), false);
     let addr = daemon.client_addr();
     let serve = std::thread::spawn(move || daemon.run());
     let client = ServiceClient::new(addr);
@@ -357,7 +379,7 @@ fn client_protocol_drives_a_live_daemon() {
 #[test]
 fn panicking_job_leaves_the_daemon_serving() {
     let path = temp_ledger("panic");
-    let daemon = start_daemon(ReleaseLedger::open(&path).unwrap());
+    let daemon = start_daemon(ReleaseLedger::open(&path).unwrap(), false);
     let addr = daemon.client_addr();
     // Arm the failpoint for the next job id (fresh ledger ⇒ job 1): the
     // worker panics mid-job, the daemon must catch the unwind, answer the
@@ -389,7 +411,7 @@ fn panicking_job_leaves_the_daemon_serving() {
 #[test]
 fn malformed_specs_are_rejected_without_poisoning_the_session() {
     let mut session =
-        ServiceFederation::start_in_memory(config(2), params(), study(), options()).unwrap();
+        ServiceFederation::start_in_memory(config(2), params(), study(), options(false)).unwrap();
     assert!(matches!(
         session.submit(&JobSpec {
             job_id: 1,
@@ -416,4 +438,182 @@ fn malformed_specs_are_rejected_without_poisoning_the_session() {
         .unwrap();
     assert_eq!(ok.job_id, 3);
     session.shutdown().unwrap();
+}
+
+/// A three-job stream seeded like the daemon seeds it: each job's forced
+/// prefix is the union of everything released before it.
+fn seeded_stream(mut run: impl FnMut(&JobSpec) -> JobOutcome) -> Vec<LedgerRecord> {
+    let mut released: Vec<SnpId> = Vec::new();
+    let mut records = Vec::new();
+    for (job_id, panel) in [(1, snps(0..60)), (2, snps(30..100)), (3, snps(0..40))] {
+        let spec = JobSpec {
+            job_id,
+            panel,
+            forced: released.clone(),
+        };
+        let outcome = run(&spec);
+        released.extend_from_slice(&outcome.released);
+        released.sort_unstable();
+        records.push(deterministic(&LedgerRecord::from_outcome(&spec, &outcome)));
+    }
+    records
+}
+
+#[test]
+fn warm_and_rebuilt_lanes_record_identically() {
+    // A warm compact lane ships each member's LR columns once and reuses
+    // them; a lane rebuilt before every job starts cold each time. Only
+    // the traffic may differ — and both match the dense transport.
+    let start = |compact| {
+        ServiceFederation::start_in_memory(config(3), params(), study(), options(compact)).unwrap()
+    };
+    let mut warm = start(true);
+    let warm_records = seeded_stream(|spec| warm.submit(spec).unwrap());
+    warm.shutdown().unwrap();
+    let cold_records = seeded_stream(|spec| {
+        let mut lane = start(true);
+        let outcome = lane.submit(spec).unwrap();
+        lane.shutdown().unwrap();
+        outcome
+    });
+    let mut dense = start(false);
+    let dense_records = seeded_stream(|spec| dense.submit(spec).unwrap());
+    dense.shutdown().unwrap();
+
+    assert!(warm_records.iter().skip(1).any(|r| !r.forced.is_empty()));
+    assert_eq!(warm_records, cold_records, "a warm lane changed a record");
+    assert_eq!(
+        warm_records, dense_records,
+        "the LR transport changed a record"
+    );
+}
+
+#[test]
+fn a_job_with_no_lr_columns_certifies_identically_on_both_lr_transports() {
+    // A MAF cutoff of 0.5 leaves no candidate in this panel (SNP 78, at
+    // exactly 0.5, is left out), and nothing is forced: the LR phase runs
+    // over zero columns. The compact lane then requests
+    // nothing from its members; the dense lane still broadcasts an empty
+    // Phase 2. Both must certify the same empty release.
+    let strict = GwasParams {
+        maf_cutoff: 0.5,
+        ..params()
+    };
+    let spec = JobSpec {
+        job_id: 1,
+        panel: snps(0..78),
+        forced: vec![],
+    };
+    let run = |compact| {
+        let mut session =
+            ServiceFederation::start_in_memory(config(3), strict, study(), options(compact))
+                .unwrap();
+        let outcome = session.submit(&spec).unwrap();
+        session.shutdown().unwrap();
+        outcome
+    };
+    let dense = run(false);
+    let compact = run(true);
+    assert!(dense.l_prime.is_empty() && dense.released.is_empty());
+    assert_eq!(compact.l_double_prime, dense.l_double_prime);
+    assert_eq!(compact.released, dense.released);
+    assert_eq!(compact.final_power, dense.final_power);
+    assert_eq!(
+        compact.final_threshold.to_bits(),
+        dense.final_threshold.to_bits()
+    );
+    assert_eq!(compact.certificate, dense.certificate);
+}
+
+#[test]
+fn a_repeated_job_ships_no_lr_columns() {
+    // Probes fire only after a third of the timeout of silence, so a long
+    // timeout keeps idle pings out of the per-job message counts.
+    let quiet = |compact| RuntimeOptions {
+        timeout: Duration::from_secs(300),
+        ..options(compact)
+    };
+    for compact in [false, true] {
+        let mut session =
+            ServiceFederation::start_in_memory(config(3), params(), study(), quiet(compact))
+                .unwrap();
+        let first = session
+            .submit(&JobSpec {
+                job_id: 1,
+                panel: snps(0..60),
+                forced: vec![],
+            })
+            .unwrap();
+        let spec = JobSpec {
+            job_id: 2,
+            panel: snps(30..100),
+            forced: first.released.clone(),
+        };
+        let seeded = session.submit(&spec).unwrap();
+        let repeat = session.submit(&JobSpec { job_id: 3, ..spec }).unwrap();
+        session.shutdown().unwrap();
+        assert_eq!(repeat.released, seeded.released);
+        assert_eq!(repeat.final_power, seeded.final_power);
+
+        // Each follower link carries the same LD exchange both times; on
+        // the compact transport the repeat drops exactly one message each
+        // way — the Phase 2 request and its LrCompact reply — because the
+        // lane already holds every column.
+        let leader = seeded.leader as u32;
+        let dropped = u64::from(compact);
+        for (a, b) in seeded.traffic.iter().zip(&repeat.traffic) {
+            assert_eq!((a.from, a.to), (b.from, b.to));
+            if a.from == leader || a.to == leader {
+                assert_eq!(
+                    b.stats.messages,
+                    a.stats.messages - dropped,
+                    "link {}->{} (compact={compact})",
+                    a.from,
+                    a.to
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn a_member_thread_panic_fails_the_session_at_once() {
+    // The leader's session thread panics when job 1 reaches it, while the
+    // followers sit idle between jobs. The handle must see a lane-fatal
+    // error immediately instead of waiting out four session timeouts.
+    let mut session =
+        ServiceFederation::start_in_memory(config(3), params(), study(), options(true)).unwrap();
+    session.inject_member_panic(1);
+    let started = std::time::Instant::now();
+    let error = session
+        .submit(&JobSpec {
+            job_id: 1,
+            panel: snps(0..60),
+            forced: vec![],
+        })
+        .unwrap_err();
+    assert!(
+        started.elapsed() < TIMEOUT,
+        "the panic was noticed after {:?}",
+        started.elapsed()
+    );
+    let lane_error = gendpr::service::ServiceError::from(error.clone());
+    assert!(
+        !lane_error.lane_survives() && lane_error.retryable(),
+        "a member panic must be lane-fatal and retryable: {error}"
+    );
+    // The handle stays poisoned, and tearing it down does not block on
+    // the members left waiting behind the dead leader.
+    assert_eq!(
+        session
+            .submit(&JobSpec {
+                job_id: 2,
+                panel: snps(0..60),
+                forced: vec![],
+            })
+            .unwrap_err(),
+        error
+    );
+    assert_eq!(session.shutdown().unwrap_err(), error);
+    assert!(started.elapsed() < TIMEOUT);
 }

@@ -54,9 +54,12 @@ fn params() -> GwasParams {
     }
 }
 
-fn options() -> RuntimeOptions {
+/// `compact` selects the bit-packed LR transport `gendpr serve` runs
+/// (with its lane-resident column cache); off is the dense transport.
+fn options(compact: bool) -> RuntimeOptions {
     RuntimeOptions {
         timeout: TIMEOUT,
+        compact_lr: compact,
         ..RuntimeOptions::default()
     }
 }
@@ -68,7 +71,7 @@ fn temp_ledger(tag: &str) -> PathBuf {
     dir.join("ledger.bin")
 }
 
-fn lane(cohort: &Cohort, tcp: bool) -> ServiceFederation {
+fn lane(cohort: &Cohort, tcp: bool, compact: bool) -> ServiceFederation {
     if tcp {
         let (roster, listeners) = ephemeral_listeners(3).expect("localhost listeners");
         let transports: Vec<TcpTransport> = listeners
@@ -84,21 +87,21 @@ fn lane(cohort: &Cohort, tcp: bool) -> ServiceFederation {
                 .expect("transport from bound listener")
             })
             .collect();
-        ServiceFederation::start_over(transports, config(3), params(), cohort, options())
+        ServiceFederation::start_over(transports, config(3), params(), cohort, options(compact))
             .expect("lane starts")
     } else {
-        ServiceFederation::start_in_memory(config(3), params(), cohort, options())
+        ServiceFederation::start_in_memory(config(3), params(), cohort, options(compact))
             .expect("lane starts")
     }
 }
 
 /// A supervised daemon whose workers run jobs across `shards`
 /// sub-federations — exactly what `gendpr serve --shards S` builds.
-fn sharded_pool(shards: u32, ledger: ReleaseLedger, tcp: bool) -> AssessmentService {
+fn sharded_pool(shards: u32, ledger: ReleaseLedger, tcp: bool, compact: bool) -> AssessmentService {
     let cohort = Arc::new(study());
     let factory: LaneFactory = {
         let cohort = Arc::clone(&cohort);
-        Arc::new(move || Ok(lane(cohort.as_ref().as_ref(), tcp)))
+        Arc::new(move || Ok(lane(cohort.as_ref().as_ref(), tcp, compact)))
     };
     let plan = ShardPlan::new(SNPS, shards);
     let shard_factory: ShardLaneFactory = {
@@ -108,7 +111,7 @@ fn sharded_pool(shards: u32, ledger: ReleaseLedger, tcp: bool) -> AssessmentServ
                 .as_ref()
                 .as_ref()
                 .column_range(range.start as usize, range.len as usize);
-            Ok(lane(&slice, tcp))
+            Ok(lane(&slice, tcp, compact))
         })
     };
     let lanes = vec![factory().expect("primary lane starts")];
@@ -171,23 +174,38 @@ fn baseline(tcp: bool) -> &'static Vec<LedgerRecord> {
     let cell = if tcp { &TCP } else { &MEMORY };
     cell.get_or_init(|| {
         let path = temp_ledger(&format!("baseline-{tcp}"));
-        run_workload(sharded_pool(1, ReleaseLedger::open(&path).unwrap(), tcp))
+        run_workload(sharded_pool(
+            1,
+            ReleaseLedger::open(&path).unwrap(),
+            tcp,
+            false,
+        ))
     })
 }
 
 #[test]
 fn sharded_runs_are_byte_identical_to_unsharded_in_memory() {
-    for shards in [2u32, 4, 7] {
-        let path = temp_ledger(&format!("ident-mem-{shards}"));
+    // The baseline is unsharded on the dense LR transport; the compact
+    // transport must match it unsharded and sharded alike.
+    for (shards, compact) in [
+        (2u32, false),
+        (4, false),
+        (7, false),
+        (1, true),
+        (2, true),
+        (7, true),
+    ] {
+        let path = temp_ledger(&format!("ident-mem-{shards}-{compact}"));
         let records = run_workload(sharded_pool(
             shards,
             ReleaseLedger::open(&path).unwrap(),
             false,
+            compact,
         ));
         assert_eq!(
             &records,
             baseline(false),
-            "--shards {shards} changed a release or certificate"
+            "--shards {shards} (compact={compact}) changed a release or certificate"
         );
         assert!(records
             .iter()
@@ -199,17 +217,18 @@ fn sharded_runs_are_byte_identical_to_unsharded_in_memory() {
 fn sharded_runs_are_byte_identical_to_unsharded_over_tcp() {
     // TCP sub-federations are slower to elect; two plans cover the
     // transport axis, and the memory ↔ TCP cross-check closes the square.
-    for shards in [2u32, 4] {
-        let path = temp_ledger(&format!("ident-tcp-{shards}"));
+    for (shards, compact) in [(2u32, false), (4, false), (2, true)] {
+        let path = temp_ledger(&format!("ident-tcp-{shards}-{compact}"));
         let records = run_workload(sharded_pool(
             shards,
             ReleaseLedger::open(&path).unwrap(),
             true,
+            compact,
         ));
         assert_eq!(
             &records,
             baseline(true),
-            "--shards {shards} over TCP changed a release or certificate"
+            "--shards {shards} over TCP (compact={compact}) changed a release or certificate"
         );
     }
     assert_eq!(
@@ -221,9 +240,9 @@ fn sharded_runs_are_byte_identical_to_unsharded_over_tcp() {
 
 #[test]
 fn a_shard_lane_crash_retries_only_that_shard_and_certifies_identically() {
-    for (crash_job, crash_shard) in [(1u64, 0u32), (2, 3), (3, 1)] {
-        let path = temp_ledger(&format!("crash-{crash_job}-{crash_shard}"));
-        let service = sharded_pool(4, ReleaseLedger::open(&path).unwrap(), false);
+    for (crash_job, crash_shard, compact) in [(1u64, 0u32, false), (2, 3, true), (3, 1, true)] {
+        let path = temp_ledger(&format!("crash-{crash_job}-{crash_shard}-{compact}"));
+        let service = sharded_pool(4, ReleaseLedger::open(&path).unwrap(), false, compact);
         // The named shard lane is torn down right before the job touches
         // it; the production recovery path (seeded rebuild + re-run of
         // just that shard) must make the crash invisible in the output.
@@ -239,35 +258,42 @@ fn a_shard_lane_crash_retries_only_that_shard_and_certifies_identically() {
 
 #[test]
 fn seeded_ledger_restart_preserves_sharded_certificates() {
-    // The continuous sharded run…
-    let continuous = {
-        let path = temp_ledger("restart-continuous");
-        run_workload(sharded_pool(4, ReleaseLedger::open(&path).unwrap(), false))
-    };
-    assert_eq!(&continuous, baseline(false));
+    for compact in [false, true] {
+        // The continuous sharded run…
+        let continuous = {
+            let path = temp_ledger(&format!("restart-continuous-{compact}"));
+            run_workload(sharded_pool(
+                4,
+                ReleaseLedger::open(&path).unwrap(),
+                false,
+                compact,
+            ))
+        };
+        assert_eq!(&continuous, baseline(false));
 
-    // …must equal the split run: daemon restarts (fresh primary lane and
-    // fresh shard sub-federations, surviving ledger) between jobs 2 and 3,
-    // so job 3's LR phase is seeded purely from disk.
-    let path = temp_ledger("restart-split");
-    let [p1, p2, p3] = workload_panels();
-    let mut before = sharded_pool(4, ReleaseLedger::open(&path).unwrap(), false);
-    let a = before.execute(p1, 0).expect("job 1 certifies");
-    let b = before.execute(p2, 0).expect("job 2 certifies");
-    before.stop().expect("daemon drains cleanly");
-    assert_eq!(deterministic(&a), continuous[0]);
-    assert_eq!(deterministic(&b), continuous[1]);
+        // …must equal the split run: daemon restarts (fresh primary lane and
+        // fresh shard sub-federations, surviving ledger) between jobs 2 and 3,
+        // so job 3's LR phase is seeded purely from disk.
+        let path = temp_ledger(&format!("restart-split-{compact}"));
+        let [p1, p2, p3] = workload_panels();
+        let mut before = sharded_pool(4, ReleaseLedger::open(&path).unwrap(), false, compact);
+        let a = before.execute(p1, 0).expect("job 1 certifies");
+        let b = before.execute(p2, 0).expect("job 2 certifies");
+        before.stop().expect("daemon drains cleanly");
+        assert_eq!(deterministic(&a), continuous[0]);
+        assert_eq!(deterministic(&b), continuous[1]);
 
-    let reopened = ReleaseLedger::open(&path).unwrap();
-    assert_eq!(reopened.len(), 2, "the ledger survived the restart");
-    let mut after = sharded_pool(4, reopened, false);
-    let c = after.execute(p3, 0).expect("job 3 certifies after restart");
-    after.stop().expect("daemon drains cleanly");
-    assert_eq!(
-        deterministic(&c),
-        continuous[2],
-        "restarting between jobs must not change the third sharded certificate"
-    );
+        let reopened = ReleaseLedger::open(&path).unwrap();
+        assert_eq!(reopened.len(), 2, "the ledger survived the restart");
+        let mut after = sharded_pool(4, reopened, false, compact);
+        let c = after.execute(p3, 0).expect("job 3 certifies after restart");
+        after.stop().expect("daemon drains cleanly");
+        assert_eq!(
+            deterministic(&c),
+            continuous[2],
+            "restarting between jobs must not change the third sharded certificate"
+        );
+    }
 }
 
 proptest! {

@@ -62,9 +62,12 @@ fn params() -> GwasParams {
     }
 }
 
-fn options() -> RuntimeOptions {
+/// `compact` selects the bit-packed LR transport `gendpr serve` runs
+/// (with its lane-resident column cache); off is the dense transport.
+fn options(compact: bool) -> RuntimeOptions {
     RuntimeOptions {
         timeout: TIMEOUT,
+        compact_lr: compact,
         ..RuntimeOptions::default()
     }
 }
@@ -76,7 +79,7 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn lane(cohort: &Cohort, tcp: bool) -> ServiceFederation {
+fn lane(cohort: &Cohort, tcp: bool, compact: bool) -> ServiceFederation {
     if tcp {
         let (roster, listeners) = ephemeral_listeners(3).expect("localhost listeners");
         let transports: Vec<TcpTransport> = listeners
@@ -92,19 +95,19 @@ fn lane(cohort: &Cohort, tcp: bool) -> ServiceFederation {
                 .expect("transport from bound listener")
             })
             .collect();
-        ServiceFederation::start_over(transports, config(3), params(), cohort, options())
+        ServiceFederation::start_over(transports, config(3), params(), cohort, options(compact))
             .expect("lane starts")
     } else {
-        ServiceFederation::start_in_memory(config(3), params(), cohort, options())
+        ServiceFederation::start_in_memory(config(3), params(), cohort, options(compact))
             .expect("lane starts")
     }
 }
 
-fn lane_factory(tcp: bool) -> (Arc<SyntheticCohort>, LaneFactory) {
+fn lane_factory(tcp: bool, compact: bool) -> (Arc<SyntheticCohort>, LaneFactory) {
     let cohort = Arc::new(study());
     let factory: LaneFactory = {
         let cohort = Arc::clone(&cohort);
-        Arc::new(move || Ok(lane(cohort.as_ref().as_ref(), tcp)))
+        Arc::new(move || Ok(lane(cohort.as_ref().as_ref(), tcp, compact)))
     };
     (cohort, factory)
 }
@@ -112,7 +115,7 @@ fn lane_factory(tcp: bool) -> (Arc<SyntheticCohort>, LaneFactory) {
 /// A plain (untracked) supervised daemon — the reference a fleet must
 /// reproduce byte for byte.
 fn plain_pool(ledger: ReleaseLedger, tcp: bool) -> AssessmentService {
-    let (cohort, factory) = lane_factory(tcp);
+    let (cohort, factory) = lane_factory(tcp, false);
     let lanes = vec![factory().expect("primary lane starts")];
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
     AssessmentService::start_supervised(
@@ -133,10 +136,16 @@ fn plain_pool(ledger: ReleaseLedger, tcp: bool) -> AssessmentService {
 
 /// One track of a fleet over `ledger_path` — exactly what
 /// `gendpr serve --track-id` builds.
-fn tracked_pool(track: u32, lease: Duration, ledger_path: &Path, tcp: bool) -> AssessmentService {
+fn tracked_pool(
+    track: u32,
+    lease: Duration,
+    ledger_path: &Path,
+    tcp: bool,
+    compact: bool,
+) -> AssessmentService {
     let (tracker, ledger) = TrackCoordinator::open(TrackConfig { track, lease }, ledger_path, &[])
         .expect("track joins the fleet");
-    let (cohort, factory) = lane_factory(tcp);
+    let (cohort, factory) = lane_factory(tcp, compact);
     let lanes = vec![factory().expect("primary lane starts")];
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
     AssessmentService::start_tracked(
@@ -202,14 +211,20 @@ fn baseline(tcp: bool) -> &'static Vec<LedgerRecord> {
 
 #[test]
 fn a_one_track_fleet_is_byte_identical_to_a_plain_daemon() {
-    for tcp in [false, true] {
-        let dir = temp_dir(&format!("one-{tcp}"));
+    for (tcp, compact) in [(false, false), (true, false), (false, true), (true, true)] {
+        let dir = temp_dir(&format!("one-{tcp}-{compact}"));
         let path = dir.join("ledger.bin");
-        let records = run_workload(tracked_pool(0, Duration::from_secs(10), &path, tcp));
+        let records = run_workload(tracked_pool(
+            0,
+            Duration::from_secs(10),
+            &path,
+            tcp,
+            compact,
+        ));
         assert_eq!(
             &records,
             baseline(tcp),
-            "a single track (tcp={tcp}) changed a release or certificate"
+            "a single track (tcp={tcp}, compact={compact}) changed a release or certificate"
         );
         assert!(records.iter().all(|r| r.certificate.is_some()));
         assert!(
@@ -229,39 +244,43 @@ fn a_one_track_fleet_is_byte_identical_to_a_plain_daemon() {
 
 #[test]
 fn interleaved_tracks_reproduce_the_single_daemon_workload() {
-    let dir = temp_dir("interleave");
-    let path = dir.join("ledger.bin");
-    // Two full daemons in this process, sharing the ledger through the
-    // fleet lock exactly as two `gendpr serve --track-id` processes
-    // would (flock excludes across file descriptions, so in-process
-    // tracks exercise the same protocol).
-    let mut track0 = tracked_pool(0, Duration::from_secs(10), &path, false);
-    let mut track1 = tracked_pool(1, Duration::from_secs(10), &path, false);
-    let [p1, p2, p3] = workload_panels();
-    let a = track0.execute(p1, 0).expect("job 1 certifies on track 0");
-    let b = track1.execute(p2, 0).expect("job 2 certifies on track 1");
-    let c = track0.execute(p3, 0).expect("job 3 certifies on track 0");
-    // Every track serves the whole fleet's results, not just its own.
-    assert_eq!(
-        track1.results(a.job_id).as_ref(),
-        Some(&a),
-        "track 1 must see track 0's record"
-    );
-    assert_eq!(track0.results(b.job_id).as_ref(), Some(&b));
-    track0.stop().expect("track 0 drains cleanly");
-    track1.stop().expect("track 1 drains cleanly");
+    // On the compact transport each track's lane keeps its own resident
+    // LR columns, so interleaving also mixes warm and cold lanes.
+    for compact in [false, true] {
+        let dir = temp_dir(&format!("interleave-{compact}"));
+        let path = dir.join("ledger.bin");
+        // Two full daemons in this process, sharing the ledger through the
+        // fleet lock exactly as two `gendpr serve --track-id` processes
+        // would (flock excludes across file descriptions, so in-process
+        // tracks exercise the same protocol).
+        let mut track0 = tracked_pool(0, Duration::from_secs(10), &path, false, compact);
+        let mut track1 = tracked_pool(1, Duration::from_secs(10), &path, false, compact);
+        let [p1, p2, p3] = workload_panels();
+        let a = track0.execute(p1, 0).expect("job 1 certifies on track 0");
+        let b = track1.execute(p2, 0).expect("job 2 certifies on track 1");
+        let c = track0.execute(p3, 0).expect("job 3 certifies on track 0");
+        // Every track serves the whole fleet's results, not just its own.
+        assert_eq!(
+            track1.results(a.job_id).as_ref(),
+            Some(&a),
+            "track 1 must see track 0's record"
+        );
+        assert_eq!(track0.results(b.job_id).as_ref(), Some(&b));
+        track0.stop().expect("track 0 drains cleanly");
+        track1.stop().expect("track 1 drains cleanly");
 
-    let records: Vec<LedgerRecord> = [a, b, c].iter().map(deterministic).collect();
-    assert_eq!(
-        &records,
-        baseline(false),
-        "interleaving tracks changed a release or certificate"
-    );
-    // The shared ledger holds exactly the three commits, in claim order.
-    let reopened = ReleaseLedger::open(&path).unwrap();
-    assert_eq!(reopened.len(), 3);
-    let on_disk: Vec<LedgerRecord> = reopened.records().iter().map(deterministic).collect();
-    assert_eq!(&on_disk, baseline(false));
+        let records: Vec<LedgerRecord> = [a, b, c].iter().map(deterministic).collect();
+        assert_eq!(
+            &records,
+            baseline(false),
+            "interleaving tracks changed a release or certificate"
+        );
+        // The shared ledger holds exactly the three commits, in claim order.
+        let reopened = ReleaseLedger::open(&path).unwrap();
+        assert_eq!(reopened.len(), 3);
+        let on_disk: Vec<LedgerRecord> = reopened.records().iter().map(deterministic).collect();
+        assert_eq!(&on_disk, baseline(false));
+    }
 }
 
 #[test]
@@ -296,7 +315,7 @@ fn an_abandoned_claim_is_rerun_once_at_its_original_position() {
         // The survivor submits its own job; its commit gate finds the
         // dead claim ahead of it, reclaims after the lease, runs job 1
         // inline and only then commits job 2.
-        let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, tcp);
+        let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, tcp, false);
         let record = survivor.execute(p2, 0).expect("survivor's job certifies");
         assert_eq!(record.job_id, 2, "the survivor's own job follows the claim");
         let reclaimed = survivor
@@ -352,8 +371,10 @@ fn a_restarted_track_reclaims_its_own_pre_crash_claim() {
         }))
         .unwrap();
     }
-    let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
-    let record = survivor.execute(p2, 0).expect("the restarted track's new job certifies");
+    let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false, false);
+    let record = survivor
+        .execute(p2, 0)
+        .expect("the restarted track's new job certifies");
     assert_eq!(record.job_id, 2, "the new job follows the leftover claim");
     let reclaimed = survivor
         .results(1)
@@ -393,7 +414,7 @@ fn a_transiently_failing_reclaim_is_abandoned_and_retried_not_failed() {
         }))
         .unwrap();
     }
-    let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
+    let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false, false);
     // One-shot: the first (reclaimed, inline) execution of job 1 dies
     // lane-fatally; every later attempt runs clean.
     survivor.inject_lane_crash(1);
@@ -496,7 +517,7 @@ fn a_done_marker_resolves_a_dead_claim_without_a_commit() {
         }))
         .unwrap();
     }
-    let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
+    let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false, false);
     let [p1, _, _] = workload_panels();
     let record = survivor.execute(p1, 0).expect("the live job certifies");
     assert_eq!(record.job_id, 2);
