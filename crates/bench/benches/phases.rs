@@ -5,12 +5,12 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use gendpr_bench::workload::paper_cohort;
 use gendpr_core::messages::CountsReport;
 use gendpr_core::phases::ld::run_ld_scan;
-use gendpr_core::phases::lrtest::run_lr_test;
+use gendpr_core::phases::lrtest::{run_lr_test, SelectionKernel};
 use gendpr_core::phases::maf::run_maf;
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{LrMatrix, LrTestParams};
+use gendpr_stats::lr::{LrColumns, LrTestParams};
 use gendpr_stats::ranking::rank_by_association;
 use std::hint::black_box;
 
@@ -111,18 +111,27 @@ fn bench_lr_phase(c: &mut Criterion) {
         .iter()
         .map(|&x| x as f64 / n_ref as f64)
         .collect();
-    let case_m = LrMatrix::from_genotypes(cohort.case(), &candidates, &case_freqs, &ref_freqs);
-    let null_m = LrMatrix::from_genotypes(cohort.reference(), &candidates, &case_freqs, &ref_freqs);
+    let gather = |g| {
+        LrColumns::from_columnar(
+            &ColumnarGenotypes::from_matrix(g),
+            &candidates,
+            &case_freqs,
+            &ref_freqs,
+        )
+    };
+    let (case_c, null_c) = (gather(cohort.case()), gather(cohort.reference()));
     let ranks = rank_by_association(&candidates, &case_counts, n_case, &ref_counts, n_ref);
     let params = LrTestParams::secure_genome_defaults();
     c.bench_function("lr_phase_400_candidates_2k_cases", |b| {
         b.iter(|| {
             run_lr_test(
                 black_box(&candidates),
-                black_box(&case_m),
-                black_box(&null_m),
+                black_box(&case_c),
+                black_box(&null_c),
                 &ranks,
                 &params,
+                SelectionKernel::Fast,
+                1,
             )
         });
     });

@@ -3,9 +3,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gendpr_bench::workload::paper_cohort;
+use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{select_safe_subset, LrMatrix, LrTestParams};
+use gendpr_stats::lr::{search, LrColumns, LrMatrix, LrPrefixSums, LrTestParams};
 use gendpr_stats::special::{chi2_sf, normal_quantile};
 use std::hint::black_box;
 
@@ -58,17 +59,27 @@ fn bench_lr_selection(c: &mut Criterion) {
         .iter()
         .map(|&x| x as f64 / n_ref)
         .collect();
-    let case_m = LrMatrix::from_genotypes(cohort.case(), &ids, &case_freqs, &ref_freqs);
-    let null_m = LrMatrix::from_genotypes(cohort.reference(), &ids, &case_freqs, &ref_freqs);
+    let gather = |g| {
+        LrColumns::from_columnar(
+            &ColumnarGenotypes::from_matrix(g),
+            &ids,
+            &case_freqs,
+            &ref_freqs,
+        )
+    };
+    let (case_c, null_c) = (gather(cohort.case()), gather(cohort.reference()));
     let order: Vec<usize> = (0..200).collect();
     let params = LrTestParams::secure_genome_defaults();
+    let unseeded = LrPrefixSums::accumulate(&case_c, &null_c, &[], &params);
     c.bench_function("lr_select_200snps_1k_cases", |b| {
         b.iter(|| {
-            select_safe_subset(
-                black_box(&case_m),
-                black_box(&null_m),
+            search(
+                black_box(&case_c),
+                black_box(&null_c),
+                &unseeded,
                 black_box(&order),
                 &params,
+                1,
             )
         });
     });
@@ -103,15 +114,16 @@ fn bench_oblivious_kernels(c: &mut Criterion) {
         .iter()
         .map(|&x| x as f64 / cohort.reference().individuals() as f64)
         .collect();
-    let case_m = LrMatrix::from_genotypes(cohort.case(), &ids, &cf, &rf);
-    let null_m = LrMatrix::from_genotypes(cohort.reference(), &ids, &cf, &rf);
+    let gather = |g| LrColumns::from_columnar(&ColumnarGenotypes::from_matrix(g), &ids, &cf, &rf);
+    let (case_c, null_c) = (gather(cohort.case()), gather(cohort.reference()));
     let order: Vec<usize> = (0..60).collect();
     let params = LrTestParams::secure_genome_defaults();
+    let unseeded = LrPrefixSums::accumulate(&case_c, &null_c, &[], &params);
     c.bench_function("lr_select_oblivious_60snps_400", |b| {
-        b.iter(|| select_safe_subset_oblivious(black_box(&case_m), &null_m, &order, &params));
+        b.iter(|| select_safe_subset_oblivious(black_box(&case_c), &null_c, &order, &params));
     });
     c.bench_function("lr_select_fast_60snps_400", |b| {
-        b.iter(|| select_safe_subset(black_box(&case_m), &null_m, &order, &params));
+        b.iter(|| search(black_box(&case_c), &null_c, &unseeded, &order, &params, 1));
     });
 }
 

@@ -33,8 +33,9 @@ fn main() {
 }
 
 fn ablation_oblivious_overhead(args: &BenchArgs) {
+    use gendpr_genomics::columnar::ColumnarGenotypes;
     use gendpr_genomics::snp::SnpId;
-    use gendpr_stats::lr::{select_safe_subset, LrMatrix, LrTestParams};
+    use gendpr_stats::lr::{search, LrColumns, LrPrefixSums, LrTestParams};
     use gendpr_stats::oblivious::select_safe_subset_oblivious;
     use gendpr_stats::ranking::rank_by_association;
 
@@ -53,18 +54,26 @@ fn ablation_oblivious_overhead(args: &BenchArgs) {
         .iter()
         .map(|&x| x as f64 / n_ref as f64)
         .collect();
-    let case_m = LrMatrix::from_genotypes(cohort.case(), &candidates, &case_freqs, &ref_freqs);
-    let null_m = LrMatrix::from_genotypes(cohort.reference(), &candidates, &case_freqs, &ref_freqs);
+    let gather = |g| {
+        LrColumns::from_columnar(
+            &ColumnarGenotypes::from_matrix(g),
+            &candidates,
+            &case_freqs,
+            &ref_freqs,
+        )
+    };
+    let (case_c, null_c) = (gather(cohort.case()), gather(cohort.reference()));
     let ranks = rank_by_association(&candidates, &case_counts, n_case, &ref_counts, n_ref);
     let mut order: Vec<usize> = (0..candidates.len()).collect();
     order.sort_by(|&a, &b| ranks[a].p_value.partial_cmp(&ranks[b].p_value).unwrap());
     let params = LrTestParams::secure_genome_defaults();
 
     let t = Instant::now();
-    let fast = select_safe_subset(&case_m, &null_m, &order, &params);
+    let unseeded = LrPrefixSums::accumulate(&case_c, &null_c, &[], &params);
+    let fast = search(&case_c, &null_c, &unseeded, &order, &params, 1);
     let fast_time = t.elapsed();
     let t = Instant::now();
-    let oblivious = select_safe_subset_oblivious(&case_m, &null_m, &order, &params);
+    let oblivious = select_safe_subset_oblivious(&case_c, &null_c, &order, &params);
     let oblivious_time = t.elapsed();
     assert_eq!(fast.kept_columns, oblivious.kept_columns);
 

@@ -27,10 +27,7 @@ use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::snp::SnpId;
 use gendpr_service::ShardPlan;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{
-    select_safe_subset_naive, select_safe_subset_threads, BitLrMatrix, LrColumns, LrMatrix,
-    LrValues,
-};
+use gendpr_stats::lr::{reference, search, LrColumns, LrMatrix, LrPrefixSums};
 use gendpr_stats::ranking::{rank_by_association, sort_most_significant_first};
 use std::time::{Duration, Instant};
 
@@ -38,7 +35,7 @@ const G: usize = 5;
 const F: usize = 2;
 
 /// SplitMix64 step: cheap deterministic words for the synthetic packed
-/// matrices (quality is irrelevant here, width is).
+/// columns (quality is irrelevant here, width is).
 fn splitmix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
@@ -209,7 +206,7 @@ fn main() {
     let naive_selection = {
         let case_matrix = LrMatrix::from_genotypes(case_all, &ids, &cf, &rf);
         let null_matrix = LrMatrix::from_genotypes(reference, &ids, &cf, &rf);
-        select_safe_subset_naive(&case_matrix, &null_matrix, &order, &params.lr)
+        reference::search(&case_matrix, &null_matrix, &[], &order, &params.lr)
     };
     let lr_naive = t.elapsed();
 
@@ -223,25 +220,30 @@ fn main() {
             LrColumns::from_columnar(&null_view, &ids, &cf, &rf),
         )
     };
-    let columnar_selection =
-        select_safe_subset_threads(&case_cols, &null_cols, &order, &params.lr, 1);
+    let unseeded = LrPrefixSums::accumulate(&case_cols, &null_cols, &[], &params.lr);
+    let columnar_selection = search(&case_cols, &null_cols, &unseeded, &order, &params.lr, 1);
     let lr_columnar = t.elapsed();
     assert_eq!(
         naive_selection, columnar_selection,
         "columnar kernels changed the LR selection"
     );
 
+    // On one core the threaded row would only time the serial path again.
     let workers = gendpr_core::pool::available_parallelism();
-    eprintln!("timing columnar LR search ({workers} threads)…");
-    let t = Instant::now();
-    let threaded_selection =
-        select_safe_subset_threads(&case_cols, &null_cols, &order, &params.lr, workers);
-    let lr_threaded = t.elapsed();
-    assert_eq!(
-        naive_selection, threaded_selection,
-        "row chunking changed the LR selection"
-    );
-    drop((case_cols, null_cols));
+    let lr_threaded = (workers > 1).then(|| {
+        eprintln!("timing columnar LR search ({workers} threads)…");
+        let t = Instant::now();
+        let threaded_selection = search(
+            &case_cols, &null_cols, &unseeded, &order, &params.lr, workers,
+        );
+        let elapsed = t.elapsed();
+        assert_eq!(
+            naive_selection, threaded_selection,
+            "row chunking changed the LR selection"
+        );
+        elapsed
+    });
+    drop((case_cols, null_cols, unseeded));
 
     // ---- Full protocol phase breakdown at the same scale ----
     eprintln!("running the full three-phase protocol for the phase breakdown…");
@@ -359,26 +361,26 @@ fn main() {
     drop(chrom_columnar);
     drop(chrom_cohort);
 
-    // (b) The LR phase alone at 1M SNPs: synthetic packed indicator
-    // matrices (the screens would never pass a million candidates, but the
-    // kernels must sustain the width), transposed to columns and swept in
-    // admission order.
+    // (b) The LR phase alone at 1M SNPs: synthetic indicator bits (the
+    // screens would never pass a million candidates, but the kernels must
+    // sustain the width), generated column-major straight into the search
+    // layout before the timer starts, then swept in admission order.
     let mega_snps = scaled(1_000_000);
     let mega_individuals = scaled(2_000);
     eprintln!("chromosome workload: LR-only sweep at {mega_individuals} x {mega_snps}…");
     let mut rng = 0x9e37_79b9_7f4a_7c15u64;
-    let words_per_row = mega_snps.div_ceil(64);
-    let tail_mask = if mega_snps % 64 == 0 {
+    let words_per_col = mega_individuals.div_ceil(64);
+    let tail_mask = if mega_individuals % 64 == 0 {
         u64::MAX
     } else {
-        (1u64 << (mega_snps % 64)) - 1
+        (1u64 << (mega_individuals % 64)) - 1
     };
     let packed = |rng: &mut u64| -> Vec<u64> {
-        let mut bits: Vec<u64> = (0..mega_individuals * words_per_row)
+        let mut bits: Vec<u64> = (0..mega_snps * words_per_col)
             .map(|_| splitmix(rng))
             .collect();
-        for row in bits.chunks_mut(words_per_row) {
-            row[words_per_row - 1] &= tail_mask;
+        for col in bits.chunks_mut(words_per_col) {
+            col[words_per_col - 1] &= tail_mask;
         }
         bits
     };
@@ -390,22 +392,26 @@ fn main() {
     let mega_rf: Vec<f64> = (0..mega_snps)
         .map(|_| 0.1 + (splitmix(&mut rng) % 1000) as f64 / 1250.0)
         .collect();
-    let mega_case =
-        BitLrMatrix::from_raw_bits(mega_individuals, mega_snps, case_bits, &mega_cf, &mega_rf)
-            .expect("well-formed packed case matrix");
-    let mega_null =
-        BitLrMatrix::from_raw_bits(mega_individuals, mega_snps, null_bits, &mega_cf, &mega_rf)
-            .expect("well-formed packed null matrix");
+    let one_part = |bits: &[u64]| {
+        LrColumns::from_part_columns(&[mega_individuals], &mega_cf, &mega_rf, |_, j| {
+            &bits[j * words_per_col..(j + 1) * words_per_col]
+        })
+    };
+    let (mega_case, mega_null) = (one_part(&case_bits), one_part(&null_bits));
+    drop((case_bits, null_bits));
     let mega_order: Vec<usize> = (0..mega_snps).collect();
     let t = Instant::now();
-    let mega_cols = (
-        mega_case.to_columns().expect("two-valued packed matrix"),
-        mega_null.to_columns().expect("two-valued packed matrix"),
+    let unseeded = LrPrefixSums::accumulate(&mega_case, &mega_null, &[], &params.lr);
+    let mega_selection = search(
+        &mega_case,
+        &mega_null,
+        &unseeded,
+        &mega_order,
+        &params.lr,
+        1,
     );
-    let mega_selection =
-        select_safe_subset_threads(&mega_cols.0, &mega_cols.1, &mega_order, &params.lr, 1);
     let mega_lr = t.elapsed();
-    drop(mega_cols);
+    drop((mega_case, mega_null, unseeded));
     eprintln!(
         "LR-only sweep kept {} of {} candidates in {:.1} s",
         mega_selection.kept_columns.len(),
@@ -427,7 +433,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"columnar_threaded_ms\": {:.3},\n    \"threads\": {workers},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"protocol_parallel\": {{\n    \"threads\": {workers},\n    \"total_ms\": {:.3},\n    \"release_identical\": true\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"columnar_threaded_ms\": {},\n    \"threads\": {workers},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"protocol_parallel\": {{\n    \"threads\": {workers},\n    \"total_ms\": {:.3},\n    \"release_identical\": true\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
         subsets.len(),
         pairs.len(),
         ms(before),
@@ -436,7 +442,7 @@ fn main() {
         order.len(),
         ms(lr_naive),
         ms(lr_columnar),
-        ms(lr_threaded),
+        lr_threaded.map_or("null".to_string(), |d| format!("{:.3}", ms(d))),
         lr_speedup,
         ms(sequential.timings.aggregation),
         ms(sequential.timings.indexing),

@@ -10,13 +10,13 @@
 use crate::config::GwasParams;
 use crate::error::ProtocolError;
 use crate::phases::ld::run_ld_scan;
-use crate::phases::lrtest::run_lr_test;
+use crate::phases::lrtest::{run_lr_test, SelectionKernel};
 use crate::protocol::PhaseTimings;
 use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::LrMatrix;
+use gendpr_stats::lr::LrColumns;
 use gendpr_stats::maf::passes_maf;
 use gendpr_stats::ranking::{rank_by_association, SnpRank};
 use std::time::Instant;
@@ -126,9 +126,10 @@ impl CentralizedPipeline {
             .iter()
             .map(|&s| ref_counts[s.index()] as f64 / n_ref as f64)
             .collect();
-        let case_matrix = LrMatrix::from_genotypes(case, &l_double_prime, &case_freqs, &ref_freqs);
+        let case_matrix =
+            LrColumns::from_columnar(&case_columnar, &l_double_prime, &case_freqs, &ref_freqs);
         let null_matrix =
-            LrMatrix::from_genotypes(reference, &l_double_prime, &case_freqs, &ref_freqs);
+            LrColumns::from_columnar(&ref_columnar, &l_double_prime, &case_freqs, &ref_freqs);
         let candidate_ranks: Vec<SnpRank> =
             l_double_prime.iter().map(|&s| ranks[s.index()]).collect();
         let safe_snps = run_lr_test(
@@ -137,6 +138,8 @@ impl CentralizedPipeline {
             &null_matrix,
             &candidate_ranks,
             &self.params.lr,
+            SelectionKernel::Fast,
+            1,
         );
         timings.lr += t.elapsed();
 

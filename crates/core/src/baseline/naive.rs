@@ -17,12 +17,13 @@ use crate::config::GwasParams;
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::phases::ld::run_ld_scan;
-use crate::phases::lrtest::run_lr_test;
+use crate::phases::lrtest::{run_lr_test, SelectionKernel};
 use crate::phases::maf::run_maf;
 use gendpr_genomics::cohort::Cohort;
+use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::LrMatrix;
+use gendpr_stats::lr::LrColumns;
 use gendpr_stats::ranking::{rank_by_association, SnpRank};
 
 /// Outcome of the naïve protocol.
@@ -114,6 +115,7 @@ impl NaiveDistributed {
         let l_double_prime = intersect_selections(&ld_selections);
 
         // Phase 3: each member tests with *local* case frequencies.
+        let reference_columnar = ColumnarGenotypes::from_matrix(reference);
         let lr_selections: Vec<Vec<SnpId>> = nodes
             .iter()
             .enumerate()
@@ -128,14 +130,18 @@ impl NaiveDistributed {
                     .iter()
                     .map(|&s| ref_counts[s.index()] as f64 / n_ref as f64)
                     .collect();
-                let case_matrix = LrMatrix::from_genotypes(
-                    node.shard(),
+                let case_matrix = LrColumns::from_columnar(
+                    node.columnar(),
                     &l_double_prime,
                     &case_freqs,
                     &ref_freqs,
                 );
-                let null_matrix =
-                    LrMatrix::from_genotypes(reference, &l_double_prime, &case_freqs, &ref_freqs);
+                let null_matrix = LrColumns::from_columnar(
+                    &reference_columnar,
+                    &l_double_prime,
+                    &case_freqs,
+                    &ref_freqs,
+                );
                 let ranks: Vec<SnpRank> = l_double_prime
                     .iter()
                     .map(|&s| local_ranks[g][s.index()])
@@ -146,6 +152,8 @@ impl NaiveDistributed {
                     &null_matrix,
                     &ranks,
                     &self.params.lr,
+                    SelectionKernel::Fast,
+                    1,
                 )
             })
             .collect();

@@ -181,8 +181,15 @@ mod tests {
         let cf = [0.4, 0.3];
         let rf = [0.2, 0.25];
         let dense = n.lr_report(&snps, &cf, &rf).into_matrix().unwrap();
-        let compact = n.lr_report_compact(&snps).into_matrix(&cf, &rf).unwrap();
-        assert_eq!(dense, compact);
+        let report = n.lr_report_compact(&snps);
+        let view = ColumnarGenotypes::from_row_major(3, 2, &report.bits).unwrap();
+        let ids = [SnpId(0), SnpId(1)];
+        let compact = gendpr_stats::lr::LrColumns::from_columnar(&view, &ids, &cf, &rf);
+        for i in 0..3 {
+            for j in 0..2 {
+                assert_eq!(compact.get(i, j).to_bits(), dense.get(i, j).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -185,9 +185,10 @@ mod tests {
 
     #[test]
     fn lr_prefix_memo_keys_on_combination_and_sequence() {
-        use gendpr_stats::lr::{BitLrMatrix, LrPrefixSums, LrTestParams, LrValues};
-        let m = BitLrMatrix::from_indicator(3, &[0.4, 0.5], &[0.3, 0.5], |i, j| (i + j) % 2 == 0);
-        let cols = m.to_columns().expect("two-valued");
+        use gendpr_stats::lr::{lr_levels, LrColumns, LrMatrix, LrPrefixSums, LrTestParams};
+        let (major, minor) = lr_levels(&[0.4, 0.5], &[0.3, 0.5]);
+        let m = LrMatrix::from_indicator(3, 2, &major, &minor, |i, j| (i + j) % 2 == 0);
+        let cols = LrColumns::from_dense(&m).expect("two-valued");
         let params = LrTestParams::secure_genome_defaults();
         let accumulate = |forced: &[usize]| LrPrefixSums::accumulate(&cols, &cols, forced, &params);
         let memo = LrPrefixMemo::new();

@@ -202,35 +202,6 @@ impl LrReportCompact {
             bits,
         }
     }
-
-    /// Reconstructs the dense LR matrix using the frequency vectors from
-    /// the leader's own Phase 2 broadcast.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::InvalidValue`] if the bit buffer does not
-    /// match the declared dimensions or the frequency vectors are too
-    /// short (a malformed or malicious report).
-    pub fn into_matrix(self, case_freqs: &[f64], ref_freqs: &[f64]) -> Result<LrMatrix, WireError> {
-        let individuals = self.individuals as usize;
-        let snps = self.snps as usize;
-        let words_per_row = snps.div_ceil(64);
-        if individuals.checked_mul(words_per_row) != Some(self.bits.len())
-            || case_freqs.len() != snps
-            || ref_freqs.len() != snps
-        {
-            return Err(WireError::InvalidValue("compact LR matrix dimensions"));
-        }
-        let (major, minor) = gendpr_stats::lr::lr_levels(case_freqs, ref_freqs);
-        let bits = &self.bits;
-        Ok(LrMatrix::from_indicator(
-            individuals,
-            snps,
-            &major,
-            &minor,
-            |i, j| bits[i * words_per_row + j / 64] >> (j % 64) & 1 == 1,
-        ))
-    }
 }
 
 /// Leader broadcast ending Phase 3 (Figure 4 step 5): the final safe set.
@@ -506,8 +477,10 @@ mod tests {
 
     #[test]
     fn compact_report_reconstructs_dense_matrix() {
+        use gendpr_genomics::columnar::ColumnarGenotypes;
         use gendpr_genomics::genotype::GenotypeMatrix;
         use gendpr_genomics::snp::SnpId;
+        use gendpr_stats::lr::LrColumns;
         let mut g = GenotypeMatrix::zeroed(5, 70);
         for i in 0..5 {
             for j in 0..70 {
@@ -521,21 +494,29 @@ mod tests {
         let ref_freqs: Vec<f64> = (0..70).map(|j| 0.15 + 0.004 * j as f64).collect();
         let dense = LrMatrix::from_genotypes(&g, &snps, &case_freqs, &ref_freqs);
         let compact = LrReportCompact::from_indicator(5, 70, |i, j| g.get(i, j) == 1);
-        let rebuilt = compact.into_matrix(&case_freqs, &ref_freqs).unwrap();
-        assert_eq!(rebuilt, dense);
+        // The leader's decoding: transpose the rows, gather the columns.
+        let view = ColumnarGenotypes::from_row_major(5, 70, &compact.bits).unwrap();
+        let rebuilt = LrColumns::from_columnar(&view, &snps, &case_freqs, &ref_freqs);
+        for i in 0..5 {
+            for j in 0..70 {
+                assert_eq!(rebuilt.get(i, j).to_bits(), dense.get(i, j).to_bits());
+            }
+        }
     }
 
     #[test]
     fn compact_report_rejects_bad_dimensions() {
+        use gendpr_genomics::columnar::ColumnarGenotypes;
         let bad = LrReportCompact {
             individuals: 2,
             snps: 70,
             bits: vec![0; 3], // needs 2 rows x 2 words = 4
         };
-        assert!(bad.into_matrix(&[0.5; 70], &[0.5; 70]).is_err());
+        assert!(ColumnarGenotypes::from_row_major(2, 70, &bad.bits).is_err());
         let ok = LrReportCompact::from_indicator(2, 70, |_, _| false);
-        assert!(ok.clone().into_matrix(&[0.5; 69], &[0.5; 69]).is_err());
-        assert!(ok.into_matrix(&[0.5; 70], &[0.5; 70]).is_ok());
+        assert!(ColumnarGenotypes::from_row_major(2, 70, &ok.bits).is_ok());
+        assert!(ColumnarGenotypes::from_row_major(2, 69, &ok.bits).is_ok());
+        assert!(ColumnarGenotypes::from_row_major(3, 70, &ok.bits).is_err());
     }
 
     #[test]

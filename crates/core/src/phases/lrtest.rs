@@ -5,9 +5,7 @@
 //! empirical subset search over the χ²-ranked candidates.
 
 use gendpr_genomics::snp::SnpId;
-#[cfg(test)]
-use gendpr_stats::lr::LrMatrix;
-use gendpr_stats::lr::{select_safe_subset_threads, LrTestParams, LrValues};
+use gendpr_stats::lr::{search, LrColumns, LrPrefixSums, LrTestParams};
 use gendpr_stats::oblivious::select_safe_subset_oblivious;
 use gendpr_stats::ranking::{sort_most_significant_first, SnpRank};
 
@@ -23,87 +21,38 @@ pub enum SelectionKernel {
     Oblivious,
 }
 
-/// Runs the LR-test over the merged case matrix and the reference null
-/// matrix. `candidates[j]` names the SNP behind column `j` of both
-/// matrices; `ranks` carries each candidate's χ² p-value.
+/// Runs the LR-test over the merged case columns and the reference null
+/// columns. `candidates[j]` names the SNP behind column `j` of both
+/// views; `ranks` carries each candidate's χ² p-value.
+///
+/// `threads` workers split the per-individual sum updates of the Fast
+/// kernel (byte-identical selections for every thread count, see
+/// `gendpr_stats::lr::search`). The Oblivious kernel stays
+/// single-threaded — its data-independent access pattern is the point.
 ///
 /// Returns `L_safe` in panel order.
 ///
 /// # Panics
 ///
 /// Panics if `ranks` does not cover exactly the candidate set or the
-/// matrices disagree with `candidates` in width.
+/// views disagree with `candidates` in width.
 #[must_use]
-pub fn run_lr_test<M: LrValues + ?Sized, N: LrValues + ?Sized>(
+pub fn run_lr_test(
     candidates: &[SnpId],
-    case_matrix: &M,
-    null_matrix: &N,
-    ranks: &[SnpRank],
-    params: &LrTestParams,
-) -> Vec<SnpId> {
-    run_lr_test_with(
-        candidates,
-        case_matrix,
-        null_matrix,
-        ranks,
-        params,
-        SelectionKernel::Fast,
-    )
-}
-
-/// [`run_lr_test`] with an explicit [`SelectionKernel`].
-///
-/// # Panics
-///
-/// Same conditions as [`run_lr_test`].
-#[must_use]
-pub fn run_lr_test_with<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    candidates: &[SnpId],
-    case_matrix: &M,
-    null_matrix: &N,
-    ranks: &[SnpRank],
-    params: &LrTestParams,
-    kernel: SelectionKernel,
-) -> Vec<SnpId> {
-    run_lr_test_threads(
-        candidates,
-        case_matrix,
-        null_matrix,
-        ranks,
-        params,
-        kernel,
-        1,
-    )
-}
-
-/// [`run_lr_test_with`] with row-chunked search parallelism: `threads`
-/// workers split the per-individual sum updates of the Fast kernel
-/// (byte-identical selections for every thread count, see
-/// `gendpr_stats::lr::select_safe_subset_threads`). The Oblivious kernel
-/// stays single-threaded — its data-independent access pattern is the
-/// point.
-///
-/// # Panics
-///
-/// Same conditions as [`run_lr_test`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    candidates: &[SnpId],
-    case_matrix: &M,
-    null_matrix: &N,
+    case: &LrColumns,
+    null: &LrColumns,
     ranks: &[SnpRank],
     params: &LrTestParams,
     kernel: SelectionKernel,
     threads: usize,
 ) -> Vec<SnpId> {
     assert_eq!(
-        case_matrix.snps(),
+        case.snps(),
         candidates.len(),
         "case matrix width must match candidates"
     );
     assert_eq!(
-        null_matrix.snps(),
+        null.snps(),
         candidates.len(),
         "null matrix width must match candidates"
     );
@@ -127,11 +76,10 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
 
     let selection = match kernel {
         SelectionKernel::Fast => {
-            select_safe_subset_threads(case_matrix, null_matrix, &order, params, threads)
+            let prefix = LrPrefixSums::accumulate(case, null, &[], params);
+            search(case, null, &prefix, &order, params, threads)
         }
-        SelectionKernel::Oblivious => {
-            select_safe_subset_oblivious(case_matrix, null_matrix, &order, params)
-        }
+        SelectionKernel::Oblivious => select_safe_subset_oblivious(case, null, &order, params),
     };
     let mut safe: Vec<SnpId> = selection
         .kept_columns
@@ -146,6 +94,7 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
 mod tests {
     use super::*;
     use gendpr_crypto::rng::ChaChaRng;
+    use gendpr_genomics::columnar::ColumnarGenotypes;
     use gendpr_genomics::genotype::GenotypeMatrix;
 
     /// Builds case/null genotypes where the first `hot` SNPs diverge.
@@ -154,7 +103,7 @@ mod tests {
         cold: usize,
         gap: f64,
         n: usize,
-    ) -> (Vec<SnpId>, LrMatrix, LrMatrix, Vec<SnpRank>) {
+    ) -> (Vec<SnpId>, LrColumns, LrColumns, Vec<SnpRank>) {
         let total = hot + cold;
         let mut rng = ChaChaRng::from_seed_u64(11);
         let mut case = GenotypeMatrix::zeroed(n, total);
@@ -182,8 +131,10 @@ mod tests {
             .iter()
             .map(|&c| c as f64 / n as f64)
             .collect();
-        let case_m = LrMatrix::from_genotypes(&case, &ids, &cf, &rf);
-        let null_m = LrMatrix::from_genotypes(&refm, &ids, &cf, &rf);
+        let gather = |g: &GenotypeMatrix| {
+            LrColumns::from_columnar(&ColumnarGenotypes::from_matrix(g), &ids, &cf, &rf)
+        };
+        let (case_m, null_m) = (gather(&case), gather(&refm));
         let ranks = gendpr_stats::ranking::rank_by_association(
             &ids,
             &case.column_counts(),
@@ -203,6 +154,8 @@ mod tests {
             &null_m,
             &ranks,
             &LrTestParams::secure_genome_defaults(),
+            SelectionKernel::Fast,
+            1,
         );
         assert_eq!(safe.len(), 25);
     }
@@ -216,6 +169,8 @@ mod tests {
             &null_m,
             &ranks,
             &LrTestParams::secure_genome_defaults(),
+            SelectionKernel::Fast,
+            1,
         );
         assert!(safe.len() < 40, "kept {} of 40", safe.len());
         assert!(!safe.is_empty());
@@ -230,21 +185,23 @@ mod tests {
             false_positive_rate: 0.1,
             power_threshold: 0.6,
         };
-        let fast = run_lr_test_with(
+        let fast = run_lr_test(
             &ids,
             &case_m,
             &null_m,
             &ranks,
             &params,
             SelectionKernel::Fast,
+            1,
         );
-        let oblivious = run_lr_test_with(
+        let oblivious = run_lr_test(
             &ids,
             &case_m,
             &null_m,
             &ranks,
             &params,
             SelectionKernel::Oblivious,
+            1,
         );
         assert_eq!(fast, oblivious);
     }
@@ -260,6 +217,8 @@ mod tests {
             &null_m,
             &ranks,
             &LrTestParams::secure_genome_defaults(),
+            SelectionKernel::Fast,
+            1,
         );
     }
 }

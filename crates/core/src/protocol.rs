@@ -17,7 +17,7 @@ use crate::leader::elect_seeded;
 use crate::memo::MomentMemo;
 use crate::messages::CountsReport;
 use crate::phases::ld::{run_ld_scan, scan_comparisons};
-use crate::phases::lrtest::{run_lr_test_threads, SelectionKernel};
+use crate::phases::lrtest::{run_lr_test, SelectionKernel};
 use crate::phases::maf::{run_maf, MafOutcome};
 use crate::pool::parallel_map;
 use gendpr_genomics::cohort::Cohort;
@@ -391,7 +391,7 @@ impl Federation {
                     .iter()
                     .map(|&s| rankings[c][s.index()])
                     .collect();
-                let safe = run_lr_test_threads(
+                let safe = run_lr_test(
                     &l_double_prime,
                     &case_matrix,
                     &null_matrix,

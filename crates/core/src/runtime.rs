@@ -47,7 +47,7 @@ use crate::messages::{
     ProtocolMessage,
 };
 use crate::phases::ld::run_ld_scan;
-use crate::phases::lrtest::{run_lr_test_threads, SelectionKernel};
+use crate::phases::lrtest::{run_lr_test, SelectionKernel};
 use crate::phases::maf::{run_maf, MafOutcome};
 use crate::pool::parallel_map;
 use crate::protocol::PhaseTimings;
@@ -57,10 +57,11 @@ use gendpr_fednet::metrics::TrafficStats;
 use gendpr_fednet::transport::{Endpoint, Envelope, Network, PeerId, Transport};
 use gendpr_fednet::wire::{self, Decode, Encode, Reader, WireError};
 use gendpr_genomics::cohort::Cohort;
+use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{BitLrMatrix, LrMatrix, LrValues};
+use gendpr_stats::lr::{LrColumns, LrMatrix};
 use gendpr_stats::ranking::{rank_by_association, SnpRank};
 use gendpr_tee::attestation::AttestationService;
 use gendpr_tee::enclave::Enclave;
@@ -1021,6 +1022,17 @@ fn leader_main<T: Transport>(
 
     // ---- Phase 3: LR per subset + intersection ----
     let t = Instant::now();
+    // Compact transport: one SNP-major copy of the reference's L''
+    // columns serves every subset's null columns. Like a shipped member
+    // view, its column j is candidate j.
+    let local_ids: Vec<SnpId> = (0..l_double_prime.len() as u32).map(SnpId).collect();
+    let reference_view = ctx.compact_lr.then(|| {
+        ctx.enclave.enter(|(), epc| {
+            let view = ColumnarGenotypes::from_matrix(&reference.select_columns(&l_double_prime));
+            epc.alloc(view.heap_bytes() as u64);
+            view
+        })
+    });
     let mut lr_selections = Vec::with_capacity(subsets.len());
     for (c, subset) in subsets.iter().enumerate() {
         let outcome = &maf_outcomes[c];
@@ -1051,73 +1063,69 @@ fn leader_main<T: Transport>(
             .iter()
             .map(|&s| rankings[c][s.index()])
             .collect();
-        let safe = if ctx.compact_lr {
+        let safe = if let Some(null_view) = &reference_view {
             // Bit-packed end to end: members ship indicator bits, the
-            // leader keeps everything — merged case matrix and the null
-            // model — packed, 64× below the dense footprint.
-            let mut parts: Vec<BitLrMatrix> = Vec::with_capacity(subset.len());
-            if subset.contains(&me) {
-                let own = ctx.enclave.enter(|(), epc| {
-                    let m = BitLrMatrix::from_genotypes(
-                        node.shard(),
-                        &l_double_prime,
-                        &case_freqs,
-                        &ref_freqs,
-                    );
-                    epc.alloc(m.heap_bytes() as u64);
-                    m
-                });
-                parts.push(own);
-            }
+            // leader transposes each report to SNP-major columns and
+            // stitches them after its own shard's — 64× below the dense
+            // footprint.
+            let mut shipped: Vec<ColumnarGenotypes> = Vec::with_capacity(subset.len());
             for &peer in subset {
                 if peer == me {
                     continue;
                 }
                 let channel = channels.get_mut(&peer).expect("channel");
-                let m = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
-                    ProtocolMessage::LrCompact(combo, report) if combo == c as u32 => {
-                        BitLrMatrix::from_raw_bits(
+                let view = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
+                    ProtocolMessage::LrCompact(combo, report)
+                        if combo == c as u32 && report.snps == l_double_prime.len() as u64 =>
+                    {
+                        ColumnarGenotypes::from_row_major(
                             report.individuals as usize,
-                            report.snps as usize,
-                            report.bits,
-                            &case_freqs,
-                            &ref_freqs,
+                            l_double_prime.len(),
+                            &report.bits,
                         )
                         .map_err(|_| ProtocolError::MalformedMessage { member: peer })?
                     }
                     _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
                 };
-                if m.snps() != l_double_prime.len() {
-                    return Err(ProtocolError::MalformedMessage { member: peer }.into());
-                }
                 ctx.enclave
-                    .enter(|(), epc| epc.alloc(m.heap_bytes() as u64));
-                parts.push(m);
+                    .enter(|(), epc| epc.alloc(view.heap_bytes() as u64));
+                shipped.push(view);
             }
+            // The leader's own shard is indexed by panel id.
+            let parts: Vec<(&ColumnarGenotypes, &[SnpId])> = subset
+                .contains(&me)
+                .then_some((node.columnar(), &l_double_prime[..]))
+                .into_iter()
+                .chain(shipped.iter().map(|view| (view, &local_ids[..])))
+                .collect();
+            let sizes: Vec<usize> = parts.iter().map(|(view, _)| view.individuals()).collect();
+            let case = ctx.enclave.enter(|(), epc| {
+                let case = LrColumns::from_part_columns(&sizes, &case_freqs, &ref_freqs, |p, j| {
+                    parts[p].0.snp_words(parts[p].1[j])
+                });
+                epc.alloc(case.heap_bytes() as u64);
+                case
+            });
+            // Stitched in: release the shipped views before the null columns.
+            let shipped_bytes: u64 = shipped.iter().map(|v| v.heap_bytes() as u64).sum();
+            drop(parts);
+            drop(shipped);
+            ctx.enclave.enter(|(), epc| epc.free(shipped_bytes));
             let (safe, freed) = ctx.enclave.enter(|(), epc| {
-                let case_matrix = BitLrMatrix::concat_rows(&parts);
-                epc.alloc(case_matrix.heap_bytes() as u64);
-                let null_matrix = BitLrMatrix::from_genotypes(
-                    reference,
+                let null = LrColumns::from_columnar(null_view, &local_ids, &case_freqs, &ref_freqs);
+                epc.alloc(null.heap_bytes() as u64);
+                let safe = run_lr_test(
                     &l_double_prime,
-                    &case_freqs,
-                    &ref_freqs,
-                );
-                epc.alloc(null_matrix.heap_bytes() as u64);
-                let safe = run_lr_test_threads(
-                    &l_double_prime,
-                    &case_matrix,
-                    &null_matrix,
+                    &case,
+                    &null,
                     &ranks,
                     &params.lr,
                     SelectionKernel::Fast,
                     ctx.threads,
                 );
-                let freed = case_matrix.heap_bytes() as u64 + null_matrix.heap_bytes() as u64;
-                (safe, freed)
+                (safe, case.heap_bytes() as u64 + null.heap_bytes() as u64)
             });
-            let part_bytes: u64 = parts.iter().map(|p| p.heap_bytes() as u64).sum();
-            ctx.enclave.enter(|(), epc| epc.free(freed + part_bytes));
+            ctx.enclave.enter(|(), epc| epc.free(freed));
             safe
         } else {
             // Paper-faithful dense matrices.
@@ -1144,7 +1152,7 @@ fn leader_main<T: Transport>(
                         .map_err(|_| ProtocolError::MalformedMessage { member: peer })?,
                     _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
                 };
-                if m.snps() != l_double_prime.len() {
+                if m.snps() != l_double_prime.len() || !m.matches_levels(&case_freqs, &ref_freqs) {
                     return Err(ProtocolError::MalformedMessage { member: peer }.into());
                 }
                 ctx.enclave
@@ -1157,10 +1165,16 @@ fn leader_main<T: Transport>(
                 let null_matrix =
                     LrMatrix::from_genotypes(reference, &l_double_prime, &case_freqs, &ref_freqs);
                 epc.alloc(null_matrix.heap_bytes() as u64);
-                let safe = run_lr_test_threads(
+                // Every part is two-valued per column: the leader built its
+                // own and checked each member's levels on receipt.
+                let case_columns =
+                    LrColumns::from_dense(&case_matrix).expect("levels checked on receipt");
+                let null_columns =
+                    LrColumns::from_dense(&null_matrix).expect("built from genotypes");
+                let safe = run_lr_test(
                     &l_double_prime,
-                    &case_matrix,
-                    &null_matrix,
+                    &case_columns,
+                    &null_columns,
                     &ranks,
                     &params.lr,
                     SelectionKernel::Fast,
@@ -1174,6 +1188,10 @@ fn leader_main<T: Transport>(
             safe
         };
         lr_selections.push(safe);
+    }
+    if let Some(view) = &reference_view {
+        ctx.enclave
+            .enter(|(), epc| epc.free(view.heap_bytes() as u64));
     }
     let safe_snps = intersect_selections(&lr_selections);
     timings.lr += t.elapsed();

@@ -16,7 +16,7 @@
 //! then a loop in which the leader announces each job with a
 //! [`JobStartBroadcast`] naming the requested panel *and* the already
 //! released SNPs. Phase 3 runs the *seeded* subset search
-//! ([`gendpr_stats::lr::select_safe_subset_seeded`]): prior releases are
+//! ([`gendpr_stats::lr::search`]): prior releases are
 //! forced into the cumulative LR sums before any new candidate is
 //! admitted, so the certified bound covers the whole release history.
 //! Between jobs every channel ratchets its keys
@@ -52,10 +52,7 @@ use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{
-    select_safe_subset_seeded, select_safe_subset_seeded_threads, LrColumns, LrMatrix,
-    LrPrefixSums, LrSelection, LrTestParams, LrValues,
-};
+use gendpr_stats::lr::{search, LrColumns, LrMatrix, LrPrefixSums, LrSelection, LrTestParams};
 use gendpr_stats::ranking::{sort_most_significant_first, SnpRank};
 use gendpr_tee::session::SecureChannel;
 use std::collections::HashMap;
@@ -1148,20 +1145,15 @@ fn run_leader_shard<T: Transport>(
     Ok(ShardPhases { l_prime, scans })
 }
 
-/// Runs the seeded subset search, preferring the columnar kernels with the
-/// per-combination forced-prefix memo.
-///
-/// When both matrices expose a two-valued column view, the forced columns'
-/// cumulative sums come from `memo` — accumulated once per (combination,
-/// forced sequence) and reused across every later job with the same ledger
-/// prefix — and the candidate sweep runs on `threads` row chunks. Either
-/// matrix declining the columnar view (a third value per column, e.g. from
-/// a degenerate frequency pair) falls back to the naïve seeded search;
-/// both routes produce byte-identical selections.
+/// Runs the seeded subset search with the per-combination forced-prefix
+/// memo: the forced columns' cumulative sums are accumulated once per
+/// (combination, forced sequence) and reused across every later job with
+/// the same ledger prefix, and the candidate sweep runs on `threads` row
+/// chunks.
 #[allow(clippy::too_many_arguments)]
-fn seeded_selection<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
+fn seeded_selection(
+    case: &LrColumns,
+    null: &LrColumns,
     forced_cols: &[usize],
     order: &[usize],
     params: &LrTestParams,
@@ -1170,22 +1162,10 @@ fn seeded_selection<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     columns: &[SnpId],
     memo: &LrPrefixMemo,
 ) -> LrSelection {
-    if let (Some(case_cols), Some(null_cols)) = (case.to_columns(), null.to_columns()) {
-        let prefix = memo.get_or_compute(combo, &columns[..forced_cols.len()], || {
-            LrPrefixSums::accumulate(&case_cols, &null_cols, forced_cols, params)
-        });
-        select_safe_subset_seeded_threads(
-            &case_cols,
-            &null_cols,
-            forced_cols,
-            order,
-            params,
-            threads,
-            Some(&prefix),
-        )
-    } else {
-        select_safe_subset_seeded(case, null, forced_cols, order, params)
-    }
+    let prefix = memo.get_or_compute(combo, &columns[..forced_cols.len()], || {
+        LrPrefixSums::accumulate(case, null, forced_cols, params)
+    });
+    search(case, null, &prefix, order, params, threads)
 }
 
 /// Compact-transport Phase 3 for one subset over the lane's resident
@@ -1304,7 +1284,8 @@ fn resident_seeded_selection<T: Transport>(
 /// Dense-transport Phase 3 for one subset: broadcasts the full column
 /// set with its frequencies to every remote subset member, collects the
 /// members' dense LR matrices (mirroring the one-shot runtime's enclave
-/// accounting) and runs the seeded search.
+/// accounting), rejects any report whose cells are not its columns' two
+/// LR levels, and runs the seeded search over the packed merge.
 #[allow(clippy::too_many_arguments)]
 fn dense_seeded_selection<T: Transport>(
     ctx: &mut MemberCtx<T>,
@@ -1361,7 +1342,7 @@ fn dense_seeded_selection<T: Transport>(
                 .map_err(|_| ProtocolError::MalformedMessage { member: peer })?,
             _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
         };
-        if m.snps() != columns.len() {
+        if m.snps() != columns.len() || !m.matches_levels(case_freqs, ref_freqs) {
             return Err(ProtocolError::MalformedMessage { member: peer }.into());
         }
         ctx.enclave
@@ -1373,9 +1354,13 @@ fn dense_seeded_selection<T: Transport>(
         epc.alloc(case_matrix.heap_bytes() as u64);
         let null_matrix = LrMatrix::from_genotypes(reference, columns, case_freqs, ref_freqs);
         epc.alloc(null_matrix.heap_bytes() as u64);
+        // Every part is two-valued per column: the leader built its own
+        // and checked each member's levels on receipt.
+        let case_columns = LrColumns::from_dense(&case_matrix).expect("levels checked on receipt");
+        let null_columns = LrColumns::from_dense(&null_matrix).expect("built from genotypes");
         let selection = seeded_selection(
-            &case_matrix,
-            &null_matrix,
+            &case_columns,
+            &null_columns,
             forced_cols,
             order,
             &params.lr,

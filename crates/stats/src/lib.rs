@@ -9,10 +9,11 @@
 //! * [`ld`] — Phase 2 linkage-disequilibrium moments, r² and p-values,
 //! * [`chi2`] — χ² association statistics (standard + the paper's
 //!   simplified form),
-//! * [`fisher`] — Fisher's exact test for sparse contingency tables,
 //! * [`ranking`] — most-significant-first SNP ordering,
-//! * [`lr`] — the SecureGenome likelihood-ratio test: LR matrices, the
-//!   empirical safe-subset search, and a normal-approximation cross-check,
+//! * [`lr`] — the SecureGenome likelihood-ratio test: the dense LR matrix
+//!   of the wire format, the bit-packed `LrColumns` the one empirical
+//!   safe-subset search (`lr::search`) runs on, and a normal-approximation
+//!   cross-check,
 //! * [`homer`] — Homer et al.'s distance statistic, the attack the
 //!   LR-test provably dominates,
 //! * [`oblivious`] — data-oblivious variants of the selection kernels
@@ -39,7 +40,6 @@
 
 pub mod chi2;
 pub mod contingency;
-pub mod fisher;
 pub mod homer;
 pub mod ld;
 pub mod lr;

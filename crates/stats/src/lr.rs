@@ -12,21 +12,26 @@
 //! case/reference frequencies broadcast by the leader — and ships that
 //! matrix; the leader concatenates the rows and runs the subset search.
 //!
-//! # Columnar search kernels
+//! # One search, one column type
 //!
 //! The subset search is the protocol's hot path (~98% of a full run at
-//! paper scale), so [`select_safe_subset`] and [`select_safe_subset_seeded`]
-//! route through [`LrColumns`], a column-major bit-packed view in which each
-//! candidate SNP is a contiguous `individuals`-bit vector. Admitting or
-//! backing out a column is then a branchless word-wise sweep over the
-//! cumulative per-individual sums, and the per-candidate null quantile runs
-//! as a quickselect over reusable `i64` total-order keys — no per-candidate
-//! allocation anywhere. The scalar reference implementations are retained as
-//! [`select_safe_subset_naive`] / [`select_safe_subset_seeded_naive`]; the
-//! kernels replicate their per-individual floating-point operation sequence
-//! exactly, so selections are byte-identical (asserted by property tests).
+//! paper scale). [`search`] is its only entry point and runs on
+//! [`LrColumns`], a column-major bit-packed view in which each candidate
+//! SNP is a contiguous `individuals`-bit vector. Admitting or backing out
+//! a column is then a branchless word-wise sweep over the cumulative
+//! per-individual sums, and the per-candidate null quantile runs as a
+//! quickselect over reusable `i64` total-order keys — no per-candidate
+//! allocation anywhere. The search starts from an [`LrPrefixSums`]
+//! snapshot: the forced (already released) columns' sums, or all zeros
+//! for an unseeded search.
+//!
+//! The dense [`LrMatrix`] is the paper's wire format; the leader converts
+//! it once with [`LrColumns::from_dense`]. The scalar per-cell search over
+//! it is kept as the `reference` oracle that the kernels are tested
+//! against: they replicate its per-individual floating-point operation
+//! sequence exactly, so selections are byte-identical.
 
-use gendpr_genomics::columnar::{transpose64, ColumnarGenotypes};
+use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_obs as obs;
@@ -236,6 +241,24 @@ impl LrMatrix {
         }
     }
 
+    /// True iff every cell is bitwise one of its column's two
+    /// [`lr_levels`] under these frequencies — what an honest member
+    /// computes from the leader's broadcast. The leader checks each dense
+    /// LR report with it before merging, so a tampered report is rejected
+    /// instead of summed.
+    #[must_use]
+    pub fn matches_levels(&self, case_freqs: &[f64], ref_freqs: &[f64]) -> bool {
+        if case_freqs.len() != self.snps || ref_freqs.len() != self.snps {
+            return false;
+        }
+        let (major, minor) = lr_levels(case_freqs, ref_freqs);
+        self.values.chunks(self.snps.max(1)).all(|row| {
+            row.iter().enumerate().all(|(j, v)| {
+                v.to_bits() == major[j].to_bits() || v.to_bits() == minor[j].to_bits()
+            })
+        })
+    }
+
     /// Approximate heap size in bytes (enclave memory accounting).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
@@ -243,236 +266,16 @@ impl LrMatrix {
     }
 }
 
-/// Read access to an `individuals × snps` table of LR contributions.
-///
-/// Implemented by the dense [`LrMatrix`] and the bit-packed
-/// [`BitLrMatrix`]; the subset search is generic over both, so the leader
-/// can run the exact same selection over 64× less enclave memory when the
-/// federation uses compact LR transport.
-pub trait LrValues {
-    /// Number of individuals (rows).
-    fn individuals(&self) -> usize;
-    /// Number of SNPs (columns).
-    fn snps(&self) -> usize;
-    /// The contribution of `individual` at column `snp`.
-    fn get(&self, individual: usize, snp: usize) -> f64;
-    /// A column-major bit-packed view of the table, if every column takes
-    /// at most two (bitwise-)distinct values — the representation the
-    /// subset search's word kernels run on. `None` routes the search to
-    /// the scalar reference path.
-    fn to_columns(&self) -> Option<LrColumns> {
-        columns_from_fn(self.individuals(), self.snps(), |i, j| {
-            self.get(i, j).to_bits()
-        })
-    }
-}
-
-impl LrValues for LrMatrix {
-    fn individuals(&self) -> usize {
-        self.individuals
-    }
-    fn snps(&self) -> usize {
-        self.snps
-    }
-    fn get(&self, individual: usize, snp: usize) -> f64 {
-        LrMatrix::get(self, individual, snp)
-    }
-    fn to_columns(&self) -> Option<LrColumns> {
-        // Direct slice scan: no per-cell bounds asserts or dispatch.
-        columns_from_fn(self.individuals, self.snps, |i, j| {
-            self.values[i * self.snps + j].to_bits()
-        })
-    }
-}
-
-/// A bit-packed LR matrix: one indicator bit per cell plus the two
-/// per-column contribution levels. Stores `N × L''` cells in
-/// `N × ⌈L''/64⌉` words — 0.8 MB instead of 52 MB for the paper's largest
-/// setting — while [`LrValues::get`] returns exactly the dense values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BitLrMatrix {
-    individuals: usize,
-    snps: usize,
-    words_per_row: usize,
-    bits: Vec<u64>,
-    major: Vec<f64>,
-    minor: Vec<f64>,
-}
-
-impl BitLrMatrix {
-    /// Builds the packed matrix from an indicator and the global
-    /// case/reference frequencies.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency vectors disagree in length.
-    #[must_use]
-    pub fn from_indicator(
-        individuals: usize,
-        case_freqs: &[f64],
-        ref_freqs: &[f64],
-        indicator: impl Fn(usize, usize) -> bool,
-    ) -> Self {
-        let (major, minor) = lr_levels(case_freqs, ref_freqs);
-        let snps = major.len();
-        let words_per_row = snps.div_ceil(64);
-        let mut bits = vec![0u64; individuals * words_per_row];
-        for i in 0..individuals {
-            for j in 0..snps {
-                if indicator(i, j) {
-                    bits[i * words_per_row + j / 64] |= 1 << (j % 64);
-                }
-            }
-        }
-        Self {
-            individuals,
-            snps,
-            words_per_row,
-            bits,
-            major,
-            minor,
-        }
-    }
-
-    /// Builds the packed matrix straight from genotypes (the leader's own
-    /// shard and the reference null model in compact mode).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency vectors do not match `snps` in length.
-    #[must_use]
-    pub fn from_genotypes(
-        genotypes: &GenotypeMatrix,
-        snps: &[SnpId],
-        case_freqs: &[f64],
-        ref_freqs: &[f64],
-    ) -> Self {
-        assert_eq!(snps.len(), case_freqs.len(), "one case frequency per SNP");
-        Self::from_indicator(genotypes.individuals(), case_freqs, ref_freqs, |i, j| {
-            genotypes.get(i, snps[j].index()) == 1
-        })
-    }
-
-    /// Assembles a packed matrix from transported indicator words (row
-    /// stride `⌈snps/64⌉`).
-    ///
-    /// # Errors
-    ///
-    /// Returns a static description if the buffer does not match the
-    /// declared dimensions.
-    pub fn from_raw_bits(
-        individuals: usize,
-        snps: usize,
-        bits: Vec<u64>,
-        case_freqs: &[f64],
-        ref_freqs: &[f64],
-    ) -> Result<Self, &'static str> {
-        let words_per_row = snps.div_ceil(64);
-        if individuals.checked_mul(words_per_row) != Some(bits.len()) {
-            return Err("bit buffer does not match dimensions");
-        }
-        if case_freqs.len() != snps || ref_freqs.len() != snps {
-            return Err("frequency vectors do not match dimensions");
-        }
-        let (major, minor) = lr_levels(case_freqs, ref_freqs);
-        Ok(Self {
-            individuals,
-            snps,
-            words_per_row,
-            bits,
-            major,
-            minor,
-        })
-    }
-
-    /// Vertically concatenates packed matrices (leader-side merge).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `parts` is empty or the parts disagree on columns or
-    /// levels.
-    #[must_use]
-    pub fn concat_rows(parts: &[BitLrMatrix]) -> BitLrMatrix {
-        assert!(!parts.is_empty(), "need at least one LR matrix");
-        let first = &parts[0];
-        let mut individuals = 0;
-        let mut bits = Vec::new();
-        for p in parts {
-            assert_eq!(
-                p.snps, first.snps,
-                "all LR matrices must cover the same SNPs"
-            );
-            assert_eq!(p.major, first.major, "parts must share contribution levels");
-            assert_eq!(p.minor, first.minor, "parts must share contribution levels");
-            individuals += p.individuals;
-            bits.extend_from_slice(&p.bits);
-        }
-        BitLrMatrix {
-            individuals,
-            snps: first.snps,
-            words_per_row: first.words_per_row,
-            bits,
-            major: first.major.clone(),
-            minor: first.minor.clone(),
-        }
-    }
-
-    /// Expands to the dense representation (for tests and conversions).
-    #[must_use]
-    pub fn to_dense(&self) -> LrMatrix {
-        LrMatrix::from_indicator(
-            self.individuals,
-            self.snps,
-            &self.major,
-            &self.minor,
-            |i, j| self.bit(i, j),
-        )
-    }
-
-    fn bit(&self, i: usize, j: usize) -> bool {
-        self.bits[i * self.words_per_row + j / 64] >> (j % 64) & 1 == 1
-    }
-
-    /// Approximate heap size in bytes (enclave memory accounting).
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        self.bits.len() * 8 + (self.major.len() + self.minor.len()) * 8
-    }
-}
-
-impl LrValues for BitLrMatrix {
-    fn individuals(&self) -> usize {
-        self.individuals
-    }
-    fn snps(&self) -> usize {
-        self.snps
-    }
-    fn get(&self, individual: usize, snp: usize) -> f64 {
-        assert!(
-            individual < self.individuals && snp < self.snps,
-            "index out of bounds"
-        );
-        if self.bit(individual, snp) {
-            self.minor[snp]
-        } else {
-            self.major[snp]
-        }
-    }
-    fn to_columns(&self) -> Option<LrColumns> {
-        Some(LrColumns::from_bit_matrix(self))
-    }
-}
-
 /// Column-major bit-packed LR contributions: each SNP is a contiguous
 /// `individuals`-bit minor-allele indicator (64 individuals per word,
-/// LSB-first), plus the two per-column contribution levels — the transpose
-/// of [`BitLrMatrix`], mirroring `genomics::columnar`.
+/// LSB-first), plus the two per-column contribution levels — mirroring
+/// `genomics::columnar`. Stores `N × L''` cells in `L'' × ⌈N/64⌉` words,
+/// 64× below the dense [`LrMatrix`].
 ///
 /// This is the layout the subset-search kernels run on: admitting a column
 /// is one linear sweep of its bit words against the cumulative sum vector,
 /// instead of a strided per-cell walk of a row-major matrix. The bit buffer
-/// is `Arc`-shared so cloning a view (e.g. to reuse indicator bits across
-/// collusion combinations) costs nothing.
+/// is `Arc`-shared so cloning a view costs nothing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LrColumns {
     individuals: usize,
@@ -598,39 +401,83 @@ impl LrColumns {
             minor,
         }
     }
-
-    /// 64×64 block-transposes a row-major [`BitLrMatrix`] into the
-    /// column-major layout.
+    /// Packs a dense matrix; `None` if some column holds a third
+    /// bitwise-distinct value. Values are compared by bit pattern
+    /// (`to_bits`), not `==`: `+0.0` and `-0.0` compare equal but are not
+    /// interchangeable under summation or `total_cmp`, and NaNs never
+    /// compare equal to themselves. A column's first value becomes its
+    /// major level.
     #[must_use]
-    pub fn from_bit_matrix(m: &BitLrMatrix) -> Self {
-        let n = m.individuals;
-        let l = m.snps;
-        let words_per_col = n.div_ceil(64);
-        let mut bits = vec![0u64; l * words_per_col];
-        let mut block = [0u64; 64];
-        for q in 0..words_per_col {
-            let rows = (n - q * 64).min(64);
-            for w in 0..m.words_per_row {
-                for (r, slot) in block.iter_mut().enumerate().take(rows) {
-                    *slot = m.bits[(q * 64 + r) * m.words_per_row + w];
-                }
-                for slot in block.iter_mut().skip(rows) {
-                    *slot = 0;
-                }
-                transpose64(&mut block);
-                let cols = (l - w * 64).min(64);
-                for (j, &col) in block.iter().enumerate().take(cols) {
-                    bits[(w * 64 + j) * words_per_col + q] = col;
+    pub fn from_dense(m: &LrMatrix) -> Option<Self> {
+        let (individuals, snps) = (m.individuals, m.snps);
+        let words_per_col = individuals.div_ceil(64);
+        let mut bits = vec![0u64; snps * words_per_col];
+        let mut major = vec![0u64; snps];
+        let mut minor = vec![0u64; snps];
+        // 0 = no value seen, 1 = one distinct value, 2 = two distinct values.
+        let mut seen = vec![0u8; snps];
+        for (i, row) in m.values.chunks(snps.max(1)).enumerate() {
+            for (j, v) in row.iter().enumerate() {
+                let b = v.to_bits();
+                let is_minor = match seen[j] {
+                    0 => {
+                        major[j] = b;
+                        minor[j] = b;
+                        seen[j] = 1;
+                        false
+                    }
+                    1 if b == major[j] => false,
+                    1 => {
+                        minor[j] = b;
+                        seen[j] = 2;
+                        true
+                    }
+                    _ if b == major[j] => false,
+                    _ if b == minor[j] => true,
+                    _ => return None,
+                };
+                if is_minor {
+                    bits[j * words_per_col + i / 64] |= 1 << (i % 64);
                 }
             }
         }
-        Self {
-            individuals: n,
-            snps: l,
+        Some(Self {
+            individuals,
+            snps,
             words_per_col,
             bits: bits.into(),
-            major: m.major.clone(),
-            minor: m.minor.clone(),
+            major: major.into_iter().map(f64::from_bits).collect(),
+            minor: minor.into_iter().map(f64::from_bits).collect(),
+        })
+    }
+
+    /// Number of individuals (rows).
+    #[must_use]
+    pub fn individuals(&self) -> usize {
+        self.individuals
+    }
+
+    /// Number of SNPs (columns).
+    #[must_use]
+    pub fn snps(&self) -> usize {
+        self.snps
+    }
+
+    /// The contribution of `individual` at column `snp`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either index is out of bounds.
+    #[must_use]
+    pub fn get(&self, individual: usize, snp: usize) -> f64 {
+        assert!(
+            individual < self.individuals && snp < self.snps,
+            "index out of bounds"
+        );
+        if self.col_words(snp)[individual / 64] >> (individual % 64) & 1 == 1 {
+            self.minor[snp]
+        } else {
+            self.major[snp]
         }
     }
 
@@ -645,81 +492,6 @@ impl LrColumns {
     pub fn heap_bytes(&self) -> usize {
         self.bits.len() * 8 + (self.major.len() + self.minor.len()) * 8
     }
-}
-
-impl LrValues for LrColumns {
-    fn individuals(&self) -> usize {
-        self.individuals
-    }
-    fn snps(&self) -> usize {
-        self.snps
-    }
-    fn get(&self, individual: usize, snp: usize) -> f64 {
-        assert!(
-            individual < self.individuals && snp < self.snps,
-            "index out of bounds"
-        );
-        let w = self.bits[snp * self.words_per_col + individual / 64];
-        if w >> (individual % 64) & 1 == 1 {
-            self.minor[snp]
-        } else {
-            self.major[snp]
-        }
-    }
-    fn to_columns(&self) -> Option<LrColumns> {
-        Some(self.clone())
-    }
-}
-
-/// Scans an arbitrary two-valued table into [`LrColumns`]; `None` if some
-/// column holds a third bitwise-distinct value. Values are compared by bit
-/// pattern (`to_bits`), not `==`: `+0.0` and `-0.0` compare equal but are
-/// not interchangeable under summation or `total_cmp`, and NaNs never
-/// compare equal to themselves.
-fn columns_from_fn(
-    individuals: usize,
-    snps: usize,
-    get_bits: impl Fn(usize, usize) -> u64,
-) -> Option<LrColumns> {
-    let words_per_col = individuals.div_ceil(64);
-    let mut bits = vec![0u64; snps * words_per_col];
-    let mut major = vec![0u64; snps];
-    let mut minor = vec![0u64; snps];
-    // 0 = no value seen, 1 = one distinct value, 2 = two distinct values.
-    let mut seen = vec![0u8; snps];
-    for i in 0..individuals {
-        for j in 0..snps {
-            let b = get_bits(i, j);
-            let is_minor = match seen[j] {
-                0 => {
-                    major[j] = b;
-                    minor[j] = b;
-                    seen[j] = 1;
-                    false
-                }
-                1 if b == major[j] => false,
-                1 => {
-                    minor[j] = b;
-                    seen[j] = 2;
-                    true
-                }
-                _ if b == major[j] => false,
-                _ if b == minor[j] => true,
-                _ => return None,
-            };
-            if is_minor {
-                bits[j * words_per_col + i / 64] |= 1 << (i % 64);
-            }
-        }
-    }
-    Some(LrColumns {
-        individuals,
-        snps,
-        words_per_col,
-        bits: bits.into(),
-        major: major.into_iter().map(f64::from_bits).collect(),
-        minor: minor.into_iter().map(f64::from_bits).collect(),
-    })
 }
 
 /// Parameters of the LR-test subset search.
@@ -761,281 +533,74 @@ pub struct LrSelection {
 /// Runs the SecureGenome empirical subset search (`LRtest` in Algorithm 1).
 ///
 /// `case` holds LR contributions of the true case participants, `null` the
-/// contributions of reference individuals (the null model). `order` visits
-/// candidate columns most-significant-first (the χ² ranking); each column
-/// is kept iff the attack's power over the kept-set-so-far stays *below*
+/// contributions of reference individuals (the null model). The search
+/// starts from `prefix`: [`LrPrefixSums::accumulate`] of these same
+/// columns over the *forced* set — columns already released, which cannot
+/// be retracted and are charged against the power budget first (the
+/// dynamic-study and service setting). An unseeded search passes the
+/// prefix of an empty forced set. `order` visits the remaining candidate
+/// columns most-significant-first (the χ² ranking); each is kept iff the
+/// attack's power over `forced ∪ kept` stays *below*
 /// `params.power_threshold`.
-///
-/// Routes through the columnar word kernels whenever both inputs expose a
-/// two-valued column view ([`LrValues::to_columns`]); the result is
-/// byte-identical to [`select_safe_subset_naive`] either way.
-///
-/// # Panics
-///
-/// Panics if the matrices disagree on columns, `order` indexes out of
-/// bounds, or `null` has no individuals (no null model to test against).
-#[must_use]
-pub fn select_safe_subset<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    order: &[usize],
-    params: &LrTestParams,
-) -> LrSelection {
-    select_safe_subset_threads(case, null, order, params, 1)
-}
-
-/// [`select_safe_subset`] with row-chunked parallel column updates:
-/// `threads ≤ 1` runs the serial kernels, larger values split the
-/// per-individual sum vectors across worker threads at 64-row boundaries.
-/// Each individual's scalar accumulation sequence is unchanged by the
-/// chunking, so the selection is byte-identical for every thread count.
-///
-/// # Panics
-///
-/// Same conditions as [`select_safe_subset`].
-#[must_use]
-pub fn select_safe_subset_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    order: &[usize],
-    params: &LrTestParams,
-    threads: usize,
-) -> LrSelection {
-    check_search_inputs(case, null, params);
-    match (case.to_columns(), null.to_columns()) {
-        (Some(c), Some(n)) => columns_search(&c, &n, None, order, params, threads),
-        _ => select_safe_subset_naive(case, null, order, params),
-    }
-}
-
-/// The retained scalar reference implementation of the subset search
-/// (per-cell `get` loops, one quickselect scratch reuse per search). The
-/// columnar kernels are validated against it cell-for-cell by property
-/// tests and the bench harness; production callers use
-/// [`select_safe_subset`].
-///
-/// # Panics
-///
-/// Same conditions as [`select_safe_subset`].
-#[must_use]
-pub fn select_safe_subset_naive<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    order: &[usize],
-    params: &LrTestParams,
-) -> LrSelection {
-    check_search_inputs(case, null, params);
-
-    let mut scratch = Vec::new();
-    let mut case_sums = vec![0.0f64; case.individuals()];
-    let mut null_sums = vec![0.0f64; null.individuals()];
-    let mut kept = Vec::new();
-    let mut final_power = 0.0;
-    let mut final_threshold = f64::INFINITY;
-
-    for &col in order {
-        assert!(col < case.snps(), "ranking indexes a non-existent column");
-        // Tentatively admit the column.
-        for (i, sum) in case_sums.iter_mut().enumerate() {
-            *sum += case.get(i, col);
-        }
-        for (i, sum) in null_sums.iter_mut().enumerate() {
-            *sum += null.get(i, col);
-        }
-        let threshold =
-            null_quantile_with(&mut scratch, &null_sums, 1.0 - params.false_positive_rate);
-        let detected = case_sums.iter().filter(|&&s| s > threshold).count();
-        let power = detected as f64 / case.individuals().max(1) as f64;
-        if power < params.power_threshold {
-            kept.push(col);
-            final_power = power;
-            final_threshold = threshold;
-        } else {
-            // Back the column out and move on.
-            for (i, sum) in case_sums.iter_mut().enumerate() {
-                *sum -= case.get(i, col);
-            }
-            for (i, sum) in null_sums.iter_mut().enumerate() {
-                *sum -= null.get(i, col);
-            }
-        }
-    }
-
-    LrSelection {
-        kept_columns: kept,
-        final_power,
-        final_threshold,
-    }
-}
-
-/// Like [`select_safe_subset`], but with a *forced* set of columns that
-/// are unconditionally part of the release before any candidate is
-/// considered — the dynamic-study setting, where previously released
-/// statistics cannot be retracted. The forced columns seed the cumulative
-/// LR sums; candidates are then admitted only while the attack's power
-/// over `forced ∪ kept` stays below the bound.
 ///
 /// `kept_columns` contains only the newly admitted candidates (not the
 /// forced set); `final_power`/`final_threshold` describe the full
-/// cumulative release.
+/// cumulative release. `threads ≤ 1` runs the serial kernels; larger values
+/// split the per-individual sum vectors across worker threads at 64-row
+/// boundaries. Each individual's scalar accumulation sequence is unchanged
+/// by the chunking, so the selection is byte-identical for every thread
+/// count — and to the `reference` oracle.
 ///
 /// # Panics
 ///
-/// Same conditions as [`select_safe_subset`], plus out-of-range forced
-/// columns.
+/// Panics if the views disagree on columns, `order` indexes out of
+/// bounds, `null` has no individuals (no null model to test against), or
+/// `prefix` does not match the views' populations.
 #[must_use]
-pub fn select_safe_subset_seeded<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    forced: &[usize],
-    order: &[usize],
-    params: &LrTestParams,
-) -> LrSelection {
-    select_safe_subset_seeded_threads(case, null, forced, order, params, 1, None)
-}
-
-/// [`select_safe_subset_seeded`] with row-chunked parallelism (see
-/// [`select_safe_subset_threads`]) and an optional memoized forced-prefix
-/// snapshot: when `prefix` is given it must be
-/// [`LrPrefixSums::accumulate`] of these same matrices and forced set
-/// (callers memoize it per job and share it across collusion
-/// combinations); the forced columns are then not re-accumulated.
-///
-/// # Panics
-///
-/// Same conditions as [`select_safe_subset_seeded`], plus a `prefix` whose
-/// dimensions do not match the matrices.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn select_safe_subset_seeded_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    forced: &[usize],
+pub fn search(
+    case: &LrColumns,
+    null: &LrColumns,
+    prefix: &LrPrefixSums,
     order: &[usize],
     params: &LrTestParams,
     threads: usize,
-    prefix: Option<&LrPrefixSums>,
 ) -> LrSelection {
-    check_search_inputs(case, null, params);
-    match (case.to_columns(), null.to_columns()) {
-        (Some(c), Some(n)) => {
-            let computed;
-            let prefix = match prefix {
-                Some(p) => p,
-                None => {
-                    computed = LrPrefixSums::accumulate(&c, &n, forced, params);
-                    &computed
-                }
-            };
-            assert_eq!(
-                prefix.case_sums.len(),
-                c.individuals,
-                "prefix does not match the case matrix"
-            );
-            assert_eq!(
-                prefix.null_sums.len(),
-                n.individuals,
-                "prefix does not match the null matrix"
-            );
-            for &col in order {
-                debug_assert!(!forced.contains(&col), "candidate overlaps forced set");
-            }
-            columns_search(&c, &n, Some(prefix), order, params, threads)
-        }
-        _ => select_safe_subset_seeded_naive(case, null, forced, order, params),
-    }
+    check_inputs(case.snps, null.snps, null.individuals, params);
+    assert_eq!(
+        prefix.case_sums.len(),
+        case.individuals,
+        "prefix does not match the case matrix"
+    );
+    assert_eq!(
+        prefix.null_sums.len(),
+        null.individuals,
+        "prefix does not match the null matrix"
+    );
+    // More workers than 64-row word chunks would only idle at barriers.
+    let workers = threads.min(case.words_per_col.max(null.words_per_col));
+    let selection = if workers > 1 {
+        search_mt(case, null, prefix, order, params, workers)
+    } else {
+        search_serial(case, null, prefix, order, params)
+    };
+    lr_candidates_total().add(order.len() as u64);
+    lr_columns_kept_total().add(selection.kept_columns.len() as u64);
+    selection
 }
 
-/// The retained scalar reference implementation of the seeded search; see
-/// [`select_safe_subset_naive`].
-///
-/// # Panics
-///
-/// Same conditions as [`select_safe_subset_seeded`].
-#[must_use]
-pub fn select_safe_subset_seeded_naive<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    forced: &[usize],
-    order: &[usize],
-    params: &LrTestParams,
-) -> LrSelection {
-    check_search_inputs(case, null, params);
-
-    let mut scratch = Vec::new();
-    let mut case_sums = vec![0.0f64; case.individuals()];
-    let mut null_sums = vec![0.0f64; null.individuals()];
-    for &col in forced {
-        assert!(col < case.snps(), "forced column out of range");
-        for (i, sum) in case_sums.iter_mut().enumerate() {
-            *sum += case.get(i, col);
-        }
-        for (i, sum) in null_sums.iter_mut().enumerate() {
-            *sum += null.get(i, col);
-        }
-    }
-    let power_of = |case_sums: &[f64], threshold: f64| {
-        let detected = case_sums.iter().filter(|&&s| s > threshold).count();
-        detected as f64 / case.individuals().max(1) as f64
-    };
-    let mut final_threshold = if forced.is_empty() {
-        f64::INFINITY
-    } else {
-        null_quantile_with(&mut scratch, &null_sums, 1.0 - params.false_positive_rate)
-    };
-    let mut final_power = if forced.is_empty() {
-        0.0
-    } else {
-        power_of(&case_sums, final_threshold)
-    };
-    let mut kept = Vec::new();
-
-    for &col in order {
-        assert!(col < case.snps(), "ranking indexes a non-existent column");
-        debug_assert!(!forced.contains(&col), "candidate overlaps forced set");
-        for (i, sum) in case_sums.iter_mut().enumerate() {
-            *sum += case.get(i, col);
-        }
-        for (i, sum) in null_sums.iter_mut().enumerate() {
-            *sum += null.get(i, col);
-        }
-        let threshold =
-            null_quantile_with(&mut scratch, &null_sums, 1.0 - params.false_positive_rate);
-        let power = power_of(&case_sums, threshold);
-        if power < params.power_threshold {
-            kept.push(col);
-            final_power = power;
-            final_threshold = threshold;
-        } else {
-            for (i, sum) in case_sums.iter_mut().enumerate() {
-                *sum -= case.get(i, col);
-            }
-            for (i, sum) in null_sums.iter_mut().enumerate() {
-                *sum -= null.get(i, col);
-            }
-        }
-    }
-
-    LrSelection {
-        kept_columns: kept,
-        final_power,
-        final_threshold,
-    }
-}
-
-/// The common input validation of every search entry point.
-fn check_search_inputs<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
+/// The input validation shared by every search implementation.
+pub(crate) fn check_inputs(
+    case_snps: usize,
+    null_snps: usize,
+    null_individuals: usize,
     params: &LrTestParams,
 ) {
     assert_eq!(
-        case.snps(),
-        null.snps(),
+        case_snps, null_snps,
         "case and null must cover the same SNPs"
     );
     assert!(
-        null.individuals() > 0,
+        null_individuals > 0,
         "need reference individuals for the null model"
     );
     assert!(
@@ -1044,45 +609,11 @@ fn check_search_inputs<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     );
 }
 
-/// The (1−β) quantile of the null LR sums: the type-7 estimator, computed
-/// with two quickselects instead of a full sort. `scratch` is reused
-/// across calls so the per-candidate invocation allocates nothing.
-fn null_quantile_with(scratch: &mut Vec<f64>, null_sums: &[f64], q: f64) -> f64 {
-    let n = null_sums.len();
-    if n == 1 {
-        return null_sums[0];
-    }
-    let h = q * (n as f64 - 1.0);
-    let lo = (h.floor() as usize).min(n - 1);
-    let frac = h - lo as f64;
-    scratch.clear();
-    scratch.extend_from_slice(null_sums);
-    // total_cmp: LR sums can degenerate to NaN (log of a zero-probability
-    // genotype); quickselect must stay panic-free and deterministic.
-    let cmp = |a: &f64, b: &f64| a.total_cmp(b);
-    let (_, &mut low_stat, rest) = scratch.select_nth_unstable_by(lo, cmp);
-    if frac == 0.0 || rest.is_empty() {
-        return low_stat;
-    }
-    let high_stat = rest
-        .iter()
-        .copied()
-        .min_by(|a, b| cmp(a, b))
-        .expect("rest is non-empty");
-    low_stat + frac * (high_stat - low_stat)
-}
-
-#[cfg(test)]
-fn null_quantile(null_sums: &[f64], q: f64) -> f64 {
-    null_quantile_with(&mut Vec::new(), null_sums, q)
-}
-
 // ---------------------------------------------------------------------------
 // Columnar search kernels
 // ---------------------------------------------------------------------------
 
-/// LR subset-search candidates examined (both kernels and reference path
-/// route through the same counters).
+/// LR subset-search candidates examined by [`search`].
 fn lr_candidates_total() -> &'static obs::Counter {
     static C: OnceLock<obs::Counter> = OnceLock::new();
     C.get_or_init(|| {
@@ -1217,9 +748,9 @@ fn add_column_count(
 
 /// Type-7 quantile over the current null sums, evaluated on their reusable
 /// total-order keys. The k-th order statistic is representation-agnostic,
-/// so the result is bit-identical to [`null_quantile_with`] on the same
-/// sums (including the interpolation arithmetic, evaluated on the decoded
-/// `f64` endpoints).
+/// so the result is bit-identical to the `reference` oracle's quickselect
+/// over the same sums (including the interpolation arithmetic, evaluated
+/// on the decoded `f64` endpoints).
 fn quantile_from_keys(keys: &mut [i64], q: f64) -> f64 {
     let n = keys.len();
     debug_assert!(n > 0, "null model cannot be empty");
@@ -1303,50 +834,18 @@ impl LrPrefixSums {
     }
 }
 
-/// Dispatches between the serial and row-chunked parallel columnar search.
-fn columns_search(
+fn search_serial(
     case: &LrColumns,
     null: &LrColumns,
-    prefix: Option<&LrPrefixSums>,
-    order: &[usize],
-    params: &LrTestParams,
-    threads: usize,
-) -> LrSelection {
-    // More workers than 64-row word chunks would only idle at barriers.
-    let workers = threads.min(case.words_per_col.max(null.words_per_col));
-    let selection = if workers > 1 {
-        columns_search_mt(case, null, prefix, order, params, workers)
-    } else {
-        columns_search_serial(case, null, prefix, order, params)
-    };
-    lr_candidates_total().add(order.len() as u64);
-    lr_columns_kept_total().add(selection.kept_columns.len() as u64);
-    selection
-}
-
-fn columns_search_serial(
-    case: &LrColumns,
-    null: &LrColumns,
-    prefix: Option<&LrPrefixSums>,
+    prefix: &LrPrefixSums,
     order: &[usize],
     params: &LrTestParams,
 ) -> LrSelection {
     let n_case = case.individuals;
     let q = 1.0 - params.false_positive_rate;
-    let (mut case_sums, mut null_sums, mut final_threshold, mut final_power) = match prefix {
-        Some(p) => (
-            p.case_sums.clone(),
-            p.null_sums.clone(),
-            p.threshold,
-            p.power,
-        ),
-        None => (
-            vec![0.0f64; case.individuals],
-            vec![0.0f64; null.individuals],
-            f64::INFINITY,
-            0.0,
-        ),
-    };
+    let mut case_sums = prefix.case_sums.clone();
+    let mut null_sums = prefix.null_sums.clone();
+    let (mut final_threshold, mut final_power) = (prefix.threshold, prefix.power);
     // Quantile keys are fully refreshed by every candidate's null sweep, so
     // the in-place quickselect permutation never needs undoing.
     let mut keys = vec![0i64; null.individuals];
@@ -1401,11 +900,10 @@ fn columns_search_serial(
 }
 
 // Op codes of the persistent fork-join loop below.
-const OP_LOAD_PREFIX: u8 = 0;
-const OP_ADD_NULL: u8 = 1;
-const OP_ADD_CASE_COUNT: u8 = 2;
-const OP_SUB_BOTH: u8 = 3;
-const OP_QUIT: u8 = 4;
+const OP_ADD_NULL: u8 = 0;
+const OP_ADD_CASE_COUNT: u8 = 1;
+const OP_SUB_BOTH: u8 = 2;
+const OP_QUIT: u8 = 3;
 
 /// One op descriptor shared between the search driver and its workers;
 /// the two barrier crossings around each op order all accesses, so relaxed
@@ -1433,14 +931,14 @@ fn word_ranges(words: usize, parts: usize) -> Vec<(usize, usize)> {
 }
 
 /// A worker's event loop: owns one row chunk of the case and null sum
-/// vectors and applies each published op to it. Chunking never reorders an
-/// individual's scalar accumulation, so the parallel search is
-/// byte-identical to the serial one.
+/// vectors, seeded from the prefix, and applies each published op to it.
+/// Chunking never reorders an individual's scalar accumulation, so the
+/// parallel search is byte-identical to the serial one.
 #[allow(clippy::too_many_arguments)]
 fn search_worker(
     case: &LrColumns,
     null: &LrColumns,
-    prefix: Option<&LrPrefixSums>,
+    prefix: &LrPrefixSums,
     keys: &[AtomicI64],
     op: &SharedOp,
     barrier: &Barrier,
@@ -1457,8 +955,8 @@ fn search_worker(
         (null_words.0 * 64).min(null.individuals),
         (null_words.1 * 64).min(null.individuals),
     );
-    let mut case_sums = vec![0.0f64; case_rows.1 - case_rows.0];
-    let mut null_sums = vec![0.0f64; null_rows.1 - null_rows.0];
+    let mut case_sums = prefix.case_sums[case_rows.0..case_rows.1].to_vec();
+    let mut null_sums = prefix.null_sums[null_rows.0..null_rows.1].to_vec();
     loop {
         barrier.wait();
         let kind = op.kind.load(Ordering::Relaxed);
@@ -1467,11 +965,6 @@ fn search_worker(
         }
         let col = op.col.load(Ordering::Relaxed);
         match kind {
-            OP_LOAD_PREFIX => {
-                let p = prefix.expect("prefix op requires a prefix");
-                case_sums.copy_from_slice(&p.case_sums[case_rows.0..case_rows.1]);
-                null_sums.copy_from_slice(&p.null_sums[null_rows.0..null_rows.1]);
-            }
             OP_ADD_NULL => {
                 let words = &null.col_words(col)[null_words.0..null_words.1];
                 add_column(&mut null_sums, words, null.major[col], null.minor[col]);
@@ -1516,10 +1009,10 @@ fn search_worker(
 /// kernels). The driver publishes one op at a time; workers update their
 /// chunks between two barrier crossings. Quantiles still run on the driver
 /// thread, over a copy of the worker-written key array.
-fn columns_search_mt(
+fn search_mt(
     case: &LrColumns,
     null: &LrColumns,
-    prefix: Option<&LrPrefixSums>,
+    prefix: &LrPrefixSums,
     order: &[usize],
     params: &LrTestParams,
     workers: usize,
@@ -1538,8 +1031,7 @@ fn columns_search_mt(
     let barrier = Barrier::new(workers + 1);
     let mut select_buf = vec![0i64; null.individuals];
     let mut kept = Vec::new();
-    let (mut final_threshold, mut final_power) =
-        prefix.map_or((f64::INFINITY, 0.0), |p| (p.threshold, p.power));
+    let (mut final_threshold, mut final_power) = (prefix.threshold, prefix.power);
     let quantile_hist = lr_quantile_seconds();
 
     std::thread::scope(|scope| {
@@ -1555,9 +1047,6 @@ fn columns_search_mt(
             barrier.wait(); // release the op to the workers
             barrier.wait(); // wait for every chunk to finish it
         };
-        if prefix.is_some() {
-            run(OP_LOAD_PREFIX, 0, 0.0);
-        }
         for &col in order {
             assert!(col < case.snps, "ranking indexes a non-existent column");
             run(OP_ADD_NULL, col, 0.0);
@@ -1587,6 +1076,125 @@ fn columns_search_mt(
         kept_columns: kept,
         final_power,
         final_threshold,
+    }
+}
+
+/// The scalar reference implementation of the subset search: per-cell
+/// loops over the dense [`LrMatrix`] and a per-search quickselect scratch.
+/// [`search`] is validated against it cell-for-cell by property tests and
+/// by the bench harness; production code never calls it.
+#[doc(hidden)]
+pub mod reference {
+    use super::{check_inputs, LrMatrix, LrSelection, LrTestParams};
+
+    /// The subset search with `forced` columns accumulated first; an empty
+    /// `forced` is the unseeded search. Same contract as [`super::search`]
+    /// over `LrPrefixSums::accumulate(case, null, forced, params)`.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`super::search`], plus out-of-range forced
+    /// columns.
+    #[must_use]
+    pub fn search(
+        case: &LrMatrix,
+        null: &LrMatrix,
+        forced: &[usize],
+        order: &[usize],
+        params: &LrTestParams,
+    ) -> LrSelection {
+        check_inputs(case.snps(), null.snps(), null.individuals(), params);
+
+        let mut scratch = Vec::new();
+        let mut case_sums = vec![0.0f64; case.individuals()];
+        let mut null_sums = vec![0.0f64; null.individuals()];
+        for &col in forced {
+            assert!(col < case.snps(), "forced column out of range");
+            for (i, sum) in case_sums.iter_mut().enumerate() {
+                *sum += case.get(i, col);
+            }
+            for (i, sum) in null_sums.iter_mut().enumerate() {
+                *sum += null.get(i, col);
+            }
+        }
+        let power_of = |case_sums: &[f64], threshold: f64| {
+            let detected = case_sums.iter().filter(|&&s| s > threshold).count();
+            detected as f64 / case.individuals().max(1) as f64
+        };
+        let mut final_threshold = if forced.is_empty() {
+            f64::INFINITY
+        } else {
+            null_quantile_with(&mut scratch, &null_sums, 1.0 - params.false_positive_rate)
+        };
+        let mut final_power = if forced.is_empty() {
+            0.0
+        } else {
+            power_of(&case_sums, final_threshold)
+        };
+        let mut kept = Vec::new();
+
+        for &col in order {
+            assert!(col < case.snps(), "ranking indexes a non-existent column");
+            debug_assert!(!forced.contains(&col), "candidate overlaps forced set");
+            // Tentatively admit the column.
+            for (i, sum) in case_sums.iter_mut().enumerate() {
+                *sum += case.get(i, col);
+            }
+            for (i, sum) in null_sums.iter_mut().enumerate() {
+                *sum += null.get(i, col);
+            }
+            let threshold =
+                null_quantile_with(&mut scratch, &null_sums, 1.0 - params.false_positive_rate);
+            let power = power_of(&case_sums, threshold);
+            if power < params.power_threshold {
+                kept.push(col);
+                final_power = power;
+                final_threshold = threshold;
+            } else {
+                // Back the column out and move on.
+                for (i, sum) in case_sums.iter_mut().enumerate() {
+                    *sum -= case.get(i, col);
+                }
+                for (i, sum) in null_sums.iter_mut().enumerate() {
+                    *sum -= null.get(i, col);
+                }
+            }
+        }
+
+        LrSelection {
+            kept_columns: kept,
+            final_power,
+            final_threshold,
+        }
+    }
+
+    /// The (1−β) quantile of the null LR sums: the type-7 estimator,
+    /// computed with two quickselects instead of a full sort. `scratch` is
+    /// reused across calls so the per-candidate invocation allocates
+    /// nothing.
+    pub(super) fn null_quantile_with(scratch: &mut Vec<f64>, null_sums: &[f64], q: f64) -> f64 {
+        let n = null_sums.len();
+        if n == 1 {
+            return null_sums[0];
+        }
+        let h = q * (n as f64 - 1.0);
+        let lo = (h.floor() as usize).min(n - 1);
+        let frac = h - lo as f64;
+        scratch.clear();
+        scratch.extend_from_slice(null_sums);
+        // total_cmp: LR sums can degenerate to NaN (log of a zero-probability
+        // genotype); quickselect must stay panic-free and deterministic.
+        let cmp = |a: &f64, b: &f64| a.total_cmp(b);
+        let (_, &mut low_stat, rest) = scratch.select_nth_unstable_by(lo, cmp);
+        if frac == 0.0 || rest.is_empty() {
+            return low_stat;
+        }
+        let high_stat = rest
+            .iter()
+            .copied()
+            .min_by(|a, b| cmp(a, b))
+            .expect("rest is non-empty");
+        low_stat + frac * (high_stat - low_stat)
     }
 }
 
@@ -1722,6 +1330,30 @@ mod tests {
         gap: f64,
         seed: u64,
     ) -> (LrMatrix, LrMatrix, Vec<usize>) {
+        let (case_g, ref_g, ids, emp_case, emp_ref) =
+            synthetic_inputs(n_case, n_ref, divergent, neutral, gap, seed);
+        let case_m = LrMatrix::from_genotypes(&case_g, &ids, &emp_case, &emp_ref);
+        let null_m = LrMatrix::from_genotypes(&ref_g, &ids, &emp_case, &emp_ref);
+        let order: Vec<usize> = (0..ids.len()).collect();
+        (case_m, null_m, order)
+    }
+
+    /// Genotypes and empirical frequencies behind [`synthetic_lr`].
+    #[allow(clippy::type_complexity)]
+    fn synthetic_inputs(
+        n_case: usize,
+        n_ref: usize,
+        divergent: usize,
+        neutral: usize,
+        gap: f64,
+        seed: u64,
+    ) -> (
+        GenotypeMatrix,
+        GenotypeMatrix,
+        Vec<SnpId>,
+        Vec<f64>,
+        Vec<f64>,
+    ) {
         let mut rng = ChaChaRng::from_seed_u64(seed);
         let total = divergent + neutral;
         let mut case_freqs = Vec::new();
@@ -1766,16 +1398,47 @@ mod tests {
             .iter()
             .map(|&c| c as f64 / n_ref as f64)
             .collect();
-        let case_m = LrMatrix::from_genotypes(&case_g, &ids, &emp_case, &emp_ref);
-        let null_m = LrMatrix::from_genotypes(&ref_g, &ids, &emp_case, &emp_ref);
-        let order: Vec<usize> = (0..total).collect();
-        (case_m, null_m, order)
+        (case_g, ref_g, ids, emp_case, emp_ref)
+    }
+
+    /// The unseeded search over the packed form of dense matrices.
+    fn select(
+        case: &LrMatrix,
+        null: &LrMatrix,
+        order: &[usize],
+        params: &LrTestParams,
+    ) -> LrSelection {
+        seeded(case, null, &[], order, params)
+    }
+
+    fn seeded(
+        case: &LrMatrix,
+        null: &LrMatrix,
+        forced: &[usize],
+        order: &[usize],
+        params: &LrTestParams,
+    ) -> LrSelection {
+        let case = LrColumns::from_dense(case).expect("two-valued");
+        let null = LrColumns::from_dense(null).expect("two-valued");
+        let prefix = LrPrefixSums::accumulate(&case, &null, forced, params);
+        search(&case, &null, &prefix, order, params, 1)
+    }
+
+    /// Asserts `cols` holds bitwise the same cells as `dense`.
+    fn assert_same_cells(cols: &LrColumns, dense: &LrMatrix) {
+        assert_eq!(cols.individuals(), dense.individuals());
+        assert_eq!(cols.snps(), dense.snps());
+        for i in 0..dense.individuals() {
+            for j in 0..dense.snps() {
+                assert_eq!(cols.get(i, j).to_bits(), dense.get(i, j).to_bits());
+            }
+        }
     }
 
     #[test]
     fn selection_keeps_everything_when_no_divergence() {
         let (case, null, order) = synthetic_lr(300, 300, 0, 30, 0.0, 1);
-        let sel = select_safe_subset(
+        let sel = select(
             &case,
             &null,
             &order,
@@ -1790,7 +1453,7 @@ mod tests {
         // 60 strongly divergent SNPs: the attack gains power as columns
         // accumulate, so the search must reject some.
         let (case, null, order) = synthetic_lr(400, 400, 60, 0, 0.35, 2);
-        let sel = select_safe_subset(
+        let sel = select(
             &case,
             &null,
             &order,
@@ -1812,7 +1475,7 @@ mod tests {
                 false_positive_rate: 0.1,
                 power_threshold: 0.6,
             };
-            let sel = select_safe_subset(&case, &null, &order, &params);
+            let sel = select(&case, &null, &order, &params);
             assert!(
                 sel.final_power < 0.6,
                 "seed {seed}: power {}",
@@ -1824,7 +1487,7 @@ mod tests {
     #[test]
     fn stricter_power_threshold_keeps_fewer() {
         let (case, null, order) = synthetic_lr(300, 300, 40, 10, 0.3, 3);
-        let loose = select_safe_subset(
+        let loose = select(
             &case,
             &null,
             &order,
@@ -1833,7 +1496,7 @@ mod tests {
                 power_threshold: 0.9,
             },
         );
-        let strict = select_safe_subset(
+        let strict = select(
             &case,
             &null,
             &order,
@@ -1850,7 +1513,7 @@ mod tests {
         // One configuration, both estimators should agree on the big picture.
         let n = 2_000;
         let (case, null, order) = synthetic_lr(n, n, 15, 0, 0.12, 4);
-        let sel = select_safe_subset(
+        let sel = select(
             &case,
             &null,
             &order,
@@ -1892,75 +1555,40 @@ mod tests {
         let cf = [0.4, 0.6];
         let rf = [0.2, 0.5];
         let dense = LrMatrix::from_genotypes(&g, &snps, &cf, &rf);
-        let packed = BitLrMatrix::from_genotypes(&g, &snps, &cf, &rf);
-        assert_eq!(packed.individuals(), dense.individuals());
-        assert_eq!(packed.snps(), dense.snps());
-        for i in 0..3 {
-            for j in 0..2 {
-                assert_eq!(LrValues::get(&packed, i, j), dense.get(i, j));
-            }
-        }
-        assert_eq!(packed.to_dense(), dense);
+        let packed = LrColumns::from_columnar(&ColumnarGenotypes::from_matrix(&g), &snps, &cf, &rf);
+        assert_same_cells(&packed, &dense);
+        assert_same_cells(&LrColumns::from_dense(&dense).expect("two-valued"), &dense);
         // The 64x packing advantage shows at realistic sizes (the tiny
         // matrix above is dominated by the level vectors).
         let big = GenotypeMatrix::zeroed(1_000, 128);
         let ids: Vec<SnpId> = (0..128u32).map(SnpId).collect();
         let freqs = vec![0.3; 128];
         let big_dense = LrMatrix::from_genotypes(&big, &ids, &freqs, &freqs);
-        let big_packed = BitLrMatrix::from_genotypes(&big, &ids, &freqs, &freqs);
+        let big_packed =
+            LrColumns::from_columnar(&ColumnarGenotypes::from_matrix(&big), &ids, &freqs, &freqs);
         assert!(big_packed.heap_bytes() * 30 < big_dense.heap_bytes());
     }
 
     #[test]
     fn packed_selection_equals_dense_selection() {
-        let (case, null, order) = synthetic_lr(200, 200, 15, 15, 0.25, 8);
+        let (case_g, ref_g, ids, cf, rf) = synthetic_inputs(200, 200, 15, 15, 0.25, 8);
         let params = LrTestParams::secure_genome_defaults();
-        let dense_sel = select_safe_subset(&case, &null, &order, &params);
-        // Rebuild packed versions from the dense values' sign structure is
-        // impossible in general; instead regenerate from the same inputs.
-        // synthetic_lr builds from genotypes internally, so emulate with
-        // from_indicator off the dense matrices' two-level structure.
-        // Columns are two-valued: minor value is the larger-magnitude of
-        // distinct values... simpler: use from_raw_bits via dense lookup.
-        // Here we check mixed-type selection: packed case vs dense null.
-        let n = case.individuals();
-        let l = case.snps();
-        // Reconstruct levels: for each column grab the distinct values.
-        let mut major = vec![0.0; l];
-        let mut minor = vec![0.0; l];
-        for j in 0..l {
-            let v0 = case.get(0, j);
-            let mut v1 = v0;
-            for i in 0..n {
-                if case.get(i, j) != v0 {
-                    v1 = case.get(i, j);
-                    break;
-                }
-            }
-            // Assign arbitrarily; the indicator below matches the choice.
-            major[j] = v0;
-            minor[j] = v1;
-        }
-        let packed = {
-            let mut bits = vec![0u64; n * l.div_ceil(64)];
-            let words = l.div_ceil(64);
-            for i in 0..n {
-                for j in 0..l {
-                    if case.get(i, j) == minor[j] && minor[j] != major[j] {
-                        bits[i * words + j / 64] |= 1 << (j % 64);
-                    }
-                }
-            }
-            // from_raw_bits recomputes levels from freqs; instead build via
-            // from_indicator-style private path: reuse LrMatrix::from_indicator
-            // to make a dense copy and compare.
-            LrMatrix::from_indicator(n, l, &major, &minor, |i, j| {
-                bits[i * words + j / 64] >> (j % 64) & 1 == 1
-            })
-        };
-        assert_eq!(packed, case, "reconstruction must be exact");
-        let packed_sel = select_safe_subset(&packed, &null, &order, &params);
-        assert_eq!(dense_sel, packed_sel);
+        let order: Vec<usize> = (0..ids.len()).collect();
+        let case_d = LrMatrix::from_genotypes(&case_g, &ids, &cf, &rf);
+        let null_d = LrMatrix::from_genotypes(&ref_g, &ids, &cf, &rf);
+        let dense_sel = reference::search(&case_d, &null_d, &[], &order, &params);
+        assert_eq!(select(&case_d, &null_d, &order, &params), dense_sel);
+        // Columns gathered straight from genotypes carry the levels in
+        // lr_levels order rather than first-seen order; same selection.
+        let case_c =
+            LrColumns::from_columnar(&ColumnarGenotypes::from_matrix(&case_g), &ids, &cf, &rf);
+        let null_c =
+            LrColumns::from_columnar(&ColumnarGenotypes::from_matrix(&ref_g), &ids, &cf, &rf);
+        let prefix = LrPrefixSums::accumulate(&case_c, &null_c, &[], &params);
+        assert_eq!(
+            search(&case_c, &null_c, &prefix, &order, &params, 1),
+            dense_sel
+        );
     }
 
     #[test]
@@ -1970,27 +1598,47 @@ mod tests {
         let snps = [SnpId(0), SnpId(1)];
         let cf = [0.4, 0.6];
         let rf = [0.2, 0.5];
-        let p1 = BitLrMatrix::from_genotypes(&g1, &snps, &cf, &rf);
-        let p2 = BitLrMatrix::from_genotypes(&g2, &snps, &cf, &rf);
-        let merged = BitLrMatrix::concat_rows(&[p1, p2]);
+        let (c1, c2) = (
+            ColumnarGenotypes::from_matrix(&g1),
+            ColumnarGenotypes::from_matrix(&g2),
+        );
+        let merged = LrColumns::from_columnar_parts(&[&c1, &c2], &snps, &cf, &rf);
         let d1 = LrMatrix::from_genotypes(&g1, &snps, &cf, &rf);
         let d2 = LrMatrix::from_genotypes(&g2, &snps, &cf, &rf);
-        assert_eq!(merged.to_dense(), LrMatrix::concat_rows(&[d1, d2]));
+        assert_same_cells(&merged, &LrMatrix::concat_rows(&[d1, d2]));
     }
 
     #[test]
-    fn raw_bits_validation() {
-        assert!(BitLrMatrix::from_raw_bits(2, 70, vec![0; 4], &[0.5; 70], &[0.4; 70]).is_ok());
-        assert!(BitLrMatrix::from_raw_bits(2, 70, vec![0; 3], &[0.5; 70], &[0.4; 70]).is_err());
-        assert!(BitLrMatrix::from_raw_bits(2, 70, vec![0; 4], &[0.5; 69], &[0.4; 70]).is_err());
+    fn dense_report_levels_are_checked() {
+        let g = toy_matrix(&[&[0, 1], &[1, 1], &[1, 0]]);
+        let snps = [SnpId(0), SnpId(1)];
+        let cf = [0.4, 0.6];
+        let rf = [0.2, 0.5];
+        let honest = LrMatrix::from_genotypes(&g, &snps, &cf, &rf);
+        assert!(honest.matches_levels(&cf, &rf));
+        // Frequencies the report was not computed from.
+        assert!(!honest.matches_levels(&[0.4, 0.7], &rf));
+        assert!(!honest.matches_levels(&cf[..1], &rf[..1]));
+        // A third value in one cell, and a sign flip of a level.
+        let mut values = honest.values().to_vec();
+        values[3] = 0.125;
+        assert!(!LrMatrix::from_values(3, 2, values).matches_levels(&cf, &rf));
+        let mut values = honest.values().to_vec();
+        values[0] = -values[0];
+        assert!(!LrMatrix::from_values(3, 2, values).matches_levels(&cf, &rf));
+        // Equal frequencies give the level 0.0 twice; -0.0 is not it.
+        let zero = LrMatrix::from_values(1, 1, vec![-0.0]);
+        assert!(!zero.matches_levels(&[0.3], &[0.3]));
+        assert!(LrMatrix::from_values(1, 1, vec![0.0]).matches_levels(&[0.3], &[0.3]));
+        assert!(LrMatrix::from_values(0, 2, Vec::new()).matches_levels(&cf, &rf));
     }
 
     #[test]
     fn seeded_selection_with_empty_forced_equals_plain() {
         let (case, null, order) = synthetic_lr(200, 200, 10, 20, 0.2, 12);
         let params = LrTestParams::secure_genome_defaults();
-        let plain = select_safe_subset(&case, &null, &order, &params);
-        let seeded = select_safe_subset_seeded(&case, &null, &[], &order, &params);
+        let plain = select(&case, &null, &order, &params);
+        let seeded = reference::search(&case, &null, &[], &order, &params);
         assert_eq!(plain, seeded);
     }
 
@@ -2002,7 +1650,7 @@ mod tests {
             power_threshold: 0.6,
         };
         // Without a forced set, some candidates fit under the budget.
-        let plain = select_safe_subset(&case, &null, &order, &params);
+        let plain = select(&case, &null, &order, &params);
         assert!(!plain.kept_columns.is_empty());
         // Force the plain selection; the remaining candidates must admit
         // no more than what a fresh run over the leftovers would.
@@ -2011,8 +1659,7 @@ mod tests {
             .copied()
             .filter(|c| !plain.kept_columns.contains(c))
             .collect();
-        let seeded =
-            select_safe_subset_seeded(&case, &null, &plain.kept_columns, &leftovers, &params);
+        let seeded = seeded(&case, &null, &plain.kept_columns, &leftovers, &params);
         // The forced set already sits just under the bound, so few (often
         // zero) additional divergent columns can join.
         assert!(
@@ -2031,7 +1678,7 @@ mod tests {
                 let mut sorted = sums.clone();
                 sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
                 let reference = crate::special::empirical_quantile(&sorted, q);
-                let fast = super::null_quantile(&sums, q);
+                let fast = reference::null_quantile_with(&mut Vec::new(), &sums, q);
                 assert!(
                     (fast - reference).abs() < 1e-12,
                     "n={n} q={q}: {fast} vs {reference}"
@@ -2045,6 +1692,6 @@ mod tests {
     fn selection_rejects_mismatched_matrices() {
         let a = LrMatrix::from_values(1, 2, vec![0.0; 2]);
         let b = LrMatrix::from_values(1, 3, vec![0.0; 3]);
-        let _ = select_safe_subset(&a, &b, &[0], &LrTestParams::secure_genome_defaults());
+        let _ = select(&a, &b, &[0], &LrTestParams::secure_genome_defaults());
     }
 }

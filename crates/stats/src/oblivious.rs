@@ -24,7 +24,7 @@
 //! criterion benches, reproducing the literature's observation that
 //! data-oblivious genomic processing pays a significant constant factor.
 
-use crate::lr::{LrSelection, LrTestParams, LrValues};
+use crate::lr::{check_inputs, LrColumns, LrSelection, LrTestParams};
 
 /// Branchless f64 select on the bit level (safe for infinities, where
 /// `mask*a + (1-mask)*b` would produce NaN): picks `a` when `choice` is 1.
@@ -90,33 +90,21 @@ fn oblivious_quantile(sums: &[f64], q: f64) -> f64 {
 }
 
 /// Oblivious SecureGenome subset search. Produces exactly the same
-/// selection as [`crate::lr::select_safe_subset`], but every candidate
+/// selection as the unseeded [`crate::lr::search`], but every candidate
 /// column triggers the identical sequence of memory operations whether it
 /// is kept or backed out, and the null-quantile uses a sorting network.
 ///
 /// # Panics
 ///
-/// Same conditions as [`crate::lr::select_safe_subset`].
+/// Same conditions as [`crate::lr::search`].
 #[must_use]
-pub fn select_safe_subset_oblivious<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
+pub fn select_safe_subset_oblivious(
+    case: &LrColumns,
+    null: &LrColumns,
     order: &[usize],
     params: &LrTestParams,
 ) -> LrSelection {
-    assert_eq!(
-        case.snps(),
-        null.snps(),
-        "case and null must cover the same SNPs"
-    );
-    assert!(
-        null.individuals() > 0,
-        "need reference individuals for the null model"
-    );
-    assert!(
-        (0.0..1.0).contains(&params.false_positive_rate),
-        "false-positive rate must be in [0,1)"
-    );
+    check_inputs(case.snps(), null.snps(), null.individuals(), params);
 
     let mut case_sums = vec![0.0f64; case.individuals()];
     let mut null_sums = vec![0.0f64; null.individuals()];
@@ -191,7 +179,7 @@ pub fn oblivious_maf_flags(global_freqs: &[f64], cutoff: f64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lr::select_safe_subset;
+    use crate::lr::{search, LrPrefixSums};
     use gendpr_crypto::rng::ChaChaRng;
 
     #[test]
@@ -228,7 +216,8 @@ mod tests {
         n: usize,
         gap: f64,
         seed: u64,
-    ) -> (crate::lr::LrMatrix, crate::lr::LrMatrix, Vec<usize>) {
+    ) -> (LrColumns, LrColumns, Vec<usize>) {
+        use gendpr_genomics::columnar::ColumnarGenotypes;
         use gendpr_genomics::genotype::GenotypeMatrix;
         use gendpr_genomics::snp::SnpId;
         let mut rng = ChaChaRng::from_seed_u64(seed);
@@ -246,7 +235,6 @@ mod tests {
                 }
             }
         }
-        use crate::lr::LrMatrix;
         let ids: Vec<SnpId> = (0..snps as u32).map(SnpId).collect();
         let cf: Vec<f64> = case
             .column_counts()
@@ -258,9 +246,11 @@ mod tests {
             .iter()
             .map(|&c| c as f64 / n as f64)
             .collect();
-        let case_m = LrMatrix::from_genotypes(&case, &ids, &cf, &rf);
-        let null_m = LrMatrix::from_genotypes(&reference, &ids, &cf, &rf);
-        (case_m, null_m, (0..snps).collect())
+        let case_c =
+            LrColumns::from_columnar(&ColumnarGenotypes::from_matrix(&case), &ids, &cf, &rf);
+        let null_c =
+            LrColumns::from_columnar(&ColumnarGenotypes::from_matrix(&reference), &ids, &cf, &rf);
+        (case_c, null_c, (0..snps).collect())
     }
 
     #[test]
@@ -271,7 +261,8 @@ mod tests {
                 false_positive_rate: 0.1,
                 power_threshold: 0.6,
             };
-            let fast = select_safe_subset(&case, &null, &order, &params);
+            let prefix = LrPrefixSums::accumulate(&case, &null, &[], &params);
+            let fast = search(&case, &null, &prefix, &order, &params, 1);
             let obl = select_safe_subset_oblivious(&case, &null, &order, &params);
             assert_eq!(fast.kept_columns, obl.kept_columns, "seed {seed}");
             assert!((fast.final_power - obl.final_power).abs() < 1e-12);

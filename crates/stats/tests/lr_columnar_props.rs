@@ -1,19 +1,15 @@
-//! Property-based equivalence of the columnar LR subset-search kernels
-//! against the retained scalar reference: for any two-valued LR matrices
-//! (dense, bit-packed or columnar), any candidate order, any forced set
-//! and any thread count, the selection must be **byte-identical** —
-//! `kept_columns`, `final_power` and `final_threshold` all compare equal
-//! as exact values.
+//! Property-based equivalence of the columnar LR subset search against the
+//! scalar `reference` oracle: for any two-valued LR matrices (packed from
+//! dense values or gathered from genotypes), any candidate order, any
+//! forced set, any thread count and a prefix shared between searches, the
+//! selection must be **byte-identical** — `kept_columns`, `final_power` and
+//! `final_threshold` all compare equal as exact values.
 
 use gendpr_crypto::rng::ChaChaRng;
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
-use gendpr_stats::lr::{
-    select_safe_subset, select_safe_subset_naive, select_safe_subset_seeded,
-    select_safe_subset_seeded_naive, select_safe_subset_seeded_threads, select_safe_subset_threads,
-    BitLrMatrix, LrColumns, LrMatrix, LrTestParams, LrValues,
-};
+use gendpr_stats::lr::{reference, search, LrColumns, LrMatrix, LrPrefixSums, LrTestParams};
 use proptest::prelude::*;
 
 /// A reproducible LR test fixture: genotype-derived case/null matrices
@@ -83,12 +79,19 @@ impl Fixture {
         )
     }
 
-    fn packed(&self) -> (BitLrMatrix, BitLrMatrix) {
-        (
-            BitLrMatrix::from_genotypes(&self.case_g, &self.ids, &self.case_freqs, &self.ref_freqs),
-            BitLrMatrix::from_genotypes(&self.null_g, &self.ids, &self.case_freqs, &self.ref_freqs),
-        )
+    /// Columns gathered straight from the genotypes' SNP-major views.
+    fn columns(&self) -> (LrColumns, LrColumns) {
+        let gather = |g: &GenotypeMatrix| {
+            let view = ColumnarGenotypes::from_matrix(g);
+            LrColumns::from_columnar(&view, &self.ids, &self.case_freqs, &self.ref_freqs)
+        };
+        (gather(&self.case_g), gather(&self.null_g))
     }
+}
+
+/// Packs a dense matrix the way the leader packs a checked dense report.
+fn packed(m: &LrMatrix) -> LrColumns {
+    LrColumns::from_dense(m).expect("LR matrices are two-valued")
 }
 
 fn fixture_strategy() -> impl Strategy<Value = Fixture> {
@@ -118,32 +121,21 @@ proptest! {
     fn columnar_search_equals_naive_for_all_representations(
         fx in fixture_strategy(),
         params in params_strategy(),
+        threads in 1usize..5,
     ) {
         let (case_d, null_d) = fx.dense();
-        let reference = select_safe_subset_naive(&case_d, &null_d, &fx.order, &params);
+        let expected = reference::search(&case_d, &null_d, &[], &fx.order, &params);
 
-        // Dense input routed through the columnar kernels.
-        prop_assert_eq!(
-            &select_safe_subset(&case_d, &null_d, &fx.order, &params),
-            &reference
-        );
-        // Bit-packed input (64×64 transpose path).
-        let (case_p, null_p) = fx.packed();
-        prop_assert_eq!(
-            &select_safe_subset(&case_p, &null_p, &fx.order, &params),
-            &reference
-        );
-        // Pre-built columnar input, and a mixed pairing.
-        let case_c = case_p.to_columns().expect("packed is two-valued");
-        let null_c = null_p.to_columns().expect("packed is two-valued");
-        prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_c, &fx.order, &params),
-            &reference
-        );
-        prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_d, &fx.order, &params),
-            &reference
-        );
+        // Dense values packed by the leader, then columns gathered from
+        // genotypes (levels in lr_levels order, not first-seen order), and
+        // a mixed pairing; serial and row-chunked.
+        let (case_p, null_p) = (packed(&case_d), packed(&null_d));
+        let (case_c, null_c) = fx.columns();
+        for (case, null) in [(&case_p, &null_p), (&case_c, &null_c), (&case_c, &null_p)] {
+            let prefix = LrPrefixSums::accumulate(case, null, &[], &params);
+            prop_assert_eq!(&search(case, null, &prefix, &fx.order, &params, 1), &expected);
+            prop_assert_eq!(&search(case, null, &prefix, &fx.order, &params, threads), &expected);
+        }
     }
 
     #[test]
@@ -151,35 +143,22 @@ proptest! {
         fx in fixture_strategy(),
         params in params_strategy(),
         split in any::<proptest::sample::Index>(),
+        threads in 1usize..5,
     ) {
         // Carve a forced prefix out of the candidate order; the rest are
         // candidates (the seeded contract forbids overlap).
         let cut = split.index(fx.order.len() + 1);
-        let forced = &fx.order[..cut];
-        let order = &fx.order[cut..];
+        let (forced, order) = fx.order.split_at(cut);
 
         let (case_d, null_d) = fx.dense();
-        let reference = select_safe_subset_seeded_naive(&case_d, &null_d, forced, order, &params);
-        prop_assert_eq!(
-            &select_safe_subset_seeded(&case_d, &null_d, forced, order, &params),
-            &reference
-        );
-        let (case_p, null_p) = fx.packed();
-        prop_assert_eq!(
-            &select_safe_subset_seeded(&case_p, &null_p, forced, order, &params),
-            &reference
-        );
-
-        // The memoized-prefix path: accumulate once, reuse for the search.
-        let case_c = case_p.to_columns().expect("packed is two-valued");
-        let null_c = null_p.to_columns().expect("packed is two-valued");
-        let prefix = gendpr_stats::lr::LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
-        prop_assert_eq!(
-            &select_safe_subset_seeded_threads(
-                &case_c, &null_c, forced, order, &params, 1, Some(&prefix)
-            ),
-            &reference
-        );
+        let expected = reference::search(&case_d, &null_d, forced, order, &params);
+        let (case_p, null_p) = (packed(&case_d), packed(&null_d));
+        let prefix = LrPrefixSums::accumulate(&case_p, &null_p, forced, &params);
+        prop_assert_eq!(&search(&case_p, &null_p, &prefix, order, &params, 1), &expected);
+        prop_assert_eq!(&search(&case_p, &null_p, &prefix, order, &params, threads), &expected);
+        let (case_c, null_c) = fx.columns();
+        let prefix = LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
+        prop_assert_eq!(&search(&case_c, &null_c, &prefix, order, &params, threads), &expected);
     }
 
     #[test]
@@ -189,19 +168,44 @@ proptest! {
         threads in 2usize..5,
         split in any::<proptest::sample::Index>(),
     ) {
-        let (case_p, null_p) = fx.packed();
-        let serial = select_safe_subset_threads(&case_p, &null_p, &fx.order, &params, 1);
-        let parallel = select_safe_subset_threads(&case_p, &null_p, &fx.order, &params, threads);
-        prop_assert_eq!(&parallel, &serial);
-
+        let (case_c, null_c) = fx.columns();
         let cut = split.index(fx.order.len() + 1);
         let (forced, order) = fx.order.split_at(cut);
-        let serial_seeded =
-            select_safe_subset_seeded_threads(&case_p, &null_p, forced, order, &params, 1, None);
-        let parallel_seeded = select_safe_subset_seeded_threads(
-            &case_p, &null_p, forced, order, &params, threads, None,
+        for forced in [&[][..], forced] {
+            let order = if forced.is_empty() { &fx.order[..] } else { order };
+            let prefix = LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
+            let serial = search(&case_c, &null_c, &prefix, order, &params, 1);
+            let parallel = search(&case_c, &null_c, &prefix, order, &params, threads);
+            prop_assert_eq!(&parallel, &serial);
+        }
+    }
+
+    #[test]
+    fn shared_prefix_serves_two_searches(
+        fx in fixture_strategy(),
+        params in params_strategy(),
+        split in any::<proptest::sample::Index>(),
+        threads in 1usize..5,
+    ) {
+        // One memoized prefix, two searches over different candidate
+        // orders (as LrPrefixMemo shares it across jobs): neither search
+        // may disturb the snapshot the other starts from.
+        let cut = split.index(fx.order.len() + 1);
+        let (forced, order) = fx.order.split_at(cut);
+        let reversed: Vec<usize> = order.iter().rev().copied().collect();
+        let (case_d, null_d) = fx.dense();
+        let (case_c, null_c) = fx.columns();
+        let prefix = LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
+        let snapshot = prefix.clone();
+        prop_assert_eq!(
+            &search(&case_c, &null_c, &prefix, order, &params, threads),
+            &reference::search(&case_d, &null_d, forced, order, &params)
         );
-        prop_assert_eq!(&parallel_seeded, &serial_seeded);
+        prop_assert_eq!(
+            &search(&case_c, &null_c, &prefix, &reversed, &params, 1),
+            &reference::search(&case_d, &null_d, forced, &reversed, &params)
+        );
+        prop_assert_eq!(&prefix, &snapshot);
     }
 
     #[test]
@@ -222,12 +226,12 @@ proptest! {
                 part
             })
             .collect();
-        let reference = LrColumns::from_bit_matrix(&BitLrMatrix::concat_rows(
-            &parts
-                .iter()
-                .map(|p| BitLrMatrix::from_genotypes(p, &fx.ids, &fx.case_freqs, &fx.ref_freqs))
-                .collect::<Vec<_>>(),
-        ));
+        let expected = LrColumns::from_columnar(
+            &ColumnarGenotypes::from_matrix(&fx.case_g),
+            &fx.ids,
+            &fx.case_freqs,
+            &fx.ref_freqs,
+        );
 
         // Each part's columns as a leader holds them after a compact LR
         // report: the member's row-major gather, transposed back.
@@ -241,27 +245,28 @@ proptest! {
         let stitched = LrColumns::from_part_columns(&sizes, &fx.case_freqs, &fx.ref_freqs, |p, j| {
             shipped[p].snp_words(SnpId(j as u32))
         });
-        prop_assert_eq!(&stitched, &reference);
+        prop_assert_eq!(&stitched, &expected);
 
         let columnar: Vec<ColumnarGenotypes> = parts.iter().map(ColumnarGenotypes::from_matrix).collect();
         let refs: Vec<&ColumnarGenotypes> = columnar.iter().collect();
         prop_assert_eq!(
             &LrColumns::from_columnar_parts(&refs, &fx.ids, &fx.case_freqs, &fx.ref_freqs),
-            &reference
+            &expected
         );
     }
 
+    /// Packing a dense matrix into columns keeps every cell's bit pattern.
     #[test]
     fn to_columns_roundtrips_every_cell(fx in fixture_strategy()) {
         let (case_d, _) = fx.dense();
-        let cols = case_d.to_columns().expect("LR matrices are two-valued");
+        let cols = packed(&case_d);
         prop_assert_eq!(cols.individuals(), case_d.individuals());
         prop_assert_eq!(cols.snps(), case_d.snps());
         for i in 0..case_d.individuals() {
             for j in 0..case_d.snps() {
                 prop_assert_eq!(
                     cols.get(i, j).to_bits(),
-                    LrValues::get(&case_d, i, j).to_bits(),
+                    case_d.get(i, j).to_bits(),
                     "cell ({}, {})", i, j
                 );
             }
@@ -269,17 +274,12 @@ proptest! {
     }
 }
 
-/// Three-valued columns must refuse the columnar view and fall back to the
-/// reference path (not silently mis-pack).
+/// Three-valued columns must refuse the columnar view (not silently
+/// mis-pack); the leader rejects such a report before packing it.
 #[test]
 fn three_valued_matrix_declines_columnar_view() {
     let m = LrMatrix::from_values(3, 1, vec![0.25, 0.5, 0.75]);
-    assert!(m.to_columns().is_none());
-    let null = LrMatrix::from_values(2, 1, vec![0.1, 0.2]);
-    let params = LrTestParams::secure_genome_defaults();
-    // Still selects, via the naive fallback.
-    let sel = select_safe_subset(&m, &null, &[0], &params);
-    assert_eq!(sel, select_safe_subset_naive(&m, &null, &[0], &params));
+    assert!(LrColumns::from_dense(&m).is_none());
 }
 
 /// `+0.0` and `-0.0` are distinct level values for the kernels: the bit
@@ -287,7 +287,7 @@ fn three_valued_matrix_declines_columnar_view() {
 #[test]
 fn signed_zero_levels_stay_distinct() {
     let m = LrMatrix::from_values(2, 1, vec![0.0, -0.0]);
-    let cols = m.to_columns().expect("two bitwise-distinct values");
+    let cols = LrColumns::from_dense(&m).expect("two bitwise-distinct values");
     assert_eq!(cols.get(0, 0).to_bits(), 0.0f64.to_bits());
     assert_eq!(cols.get(1, 0).to_bits(), (-0.0f64).to_bits());
 }

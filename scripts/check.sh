@@ -7,8 +7,8 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The root manifest's default-members cover every crate, so this runs
 # the facade's tests and each crate's own unit and property tests.
